@@ -1,6 +1,7 @@
 #include "core/cls.h"
 
 #include <limits>
+#include <string>
 
 #include "sim/log.h"
 
@@ -17,6 +18,34 @@ poolTypeName(PoolType pool)
     return "?";
 }
 
+namespace {
+
+std::size_t
+poolIndex(PoolType pool)
+{
+    return static_cast<std::size_t>(pool);
+}
+
+/** JSQ over a member list: the first machine with the smallest
+ *  @p load, nullptr when the list is empty. */
+template <typename Load>
+engine::Machine*
+leastLoaded(const std::vector<engine::Machine*>& members, Load load)
+{
+    engine::Machine* best = nullptr;
+    std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
+    for (engine::Machine* m : members) {
+        const std::int64_t l = load(*m);
+        if (l < best_load) {
+            best_load = l;
+            best = m;
+        }
+    }
+    return best;
+}
+
+}  // namespace
+
 ClusterScheduler::ClusterScheduler(sim::Simulator& simulator, ClsConfig config,
                                    std::vector<engine::Machine*> prompt_machines,
                                    std::vector<engine::Machine*> token_machines,
@@ -29,13 +58,89 @@ ClusterScheduler::ClusterScheduler(sim::Simulator& simulator, ClsConfig config,
     for (auto* m : prompt_machines) {
         const PoolType origin = splitwise_ ? PoolType::kPrompt : PoolType::kMixed;
         entries_[m->id()] = {m, origin, origin, 0};
-        machineIds_.push_back(m->id());
     }
     for (auto* m : token_machines) {
         const PoolType origin = splitwise_ ? PoolType::kToken : PoolType::kMixed;
         entries_[m->id()] = {m, origin, origin, 0};
-        machineIds_.push_back(m->id());
     }
+    // Size every member list for the whole fleet up front, so no
+    // later rebuild allocates.
+    const std::size_t fleet = entries_.size();
+    members_.routed.reserve(fleet);
+    for (auto& list : members_.pool)
+        list.reserve(fleet);
+    members_.promptPhase.reserve(fleet);
+    members_.tokenPhase.reserve(fleet);
+    rebuildMembers();
+}
+
+void
+ClusterScheduler::buildMembers(Members& out) const
+{
+    out.routed.clear();
+    for (auto& list : out.pool)
+        list.clear();
+    out.promptPhase.clear();
+    out.tokenPhase.clear();
+    for (const auto& [id, entry] : entries_) {
+        engine::Machine* m = entry.machine;
+        out.routed.push_back(m);
+        out.pool[poolIndex(entry.pool)].push_back(m);
+        // A mixed machine takes work of its origin's phase.
+        const PoolType phase =
+            entry.pool == PoolType::kMixed ? entry.origin : entry.pool;
+        if (phase == PoolType::kPrompt)
+            out.promptPhase.push_back(m);
+        else if (phase == PoolType::kToken)
+            out.tokenPhase.push_back(m);
+    }
+}
+
+std::string
+ClusterScheduler::integrityError() const
+{
+    Members fresh;
+    buildMembers(fresh);
+    const struct {
+        const char* name;
+        const std::vector<engine::Machine*>& cached;
+        const std::vector<engine::Machine*>& want;
+    } lists[] = {
+        {"routed", members_.routed, fresh.routed},
+        {"prompt-pool", members_.pool[poolIndex(PoolType::kPrompt)],
+         fresh.pool[poolIndex(PoolType::kPrompt)]},
+        {"token-pool", members_.pool[poolIndex(PoolType::kToken)],
+         fresh.pool[poolIndex(PoolType::kToken)]},
+        {"mixed-pool", members_.pool[poolIndex(PoolType::kMixed)],
+         fresh.pool[poolIndex(PoolType::kMixed)]},
+        {"prompt-phase", members_.promptPhase, fresh.promptPhase},
+        {"token-phase", members_.tokenPhase, fresh.tokenPhase},
+    };
+    for (const auto& list : lists) {
+        if (list.cached != list.want) {
+            return std::string("cached ") + list.name + " members (" +
+                   std::to_string(list.cached.size()) +
+                   ") disagree with the routed entries (" +
+                   std::to_string(list.want.size()) + ")";
+        }
+    }
+    return {};
+}
+
+const std::vector<engine::Machine*>&
+ClusterScheduler::promptMembers(PoolType pool) const
+{
+    if (pool == PoolType::kPrompt)
+        return members_.promptPhase;
+    return members_.pool[poolIndex(pool)];
+}
+
+const std::vector<engine::Machine*>&
+ClusterScheduler::tokenMembers(PoolType pool) const
+{
+    if (pool == PoolType::kToken)
+        return members_.tokenPhase;
+    return members_.pool[poolIndex(pool)];
 }
 
 void
@@ -45,6 +150,7 @@ ClusterScheduler::markFailed(int machine_id)
     if (it != entries_.end()) {
         lost_.insert(*it);
         entries_.erase(it);
+        rebuildMembers();
     } else {
         // A machine can crash while retired to standby (draining or
         // parked); it still needs to be parked for rejoin().
@@ -75,6 +181,7 @@ ClusterScheduler::rejoin(int machine_id)
     entry.pool = entry.origin;
     entry.mixedSince = 0;
     entries_[machine_id] = entry;
+    rebuildMembers();
     ++rejoins_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "rejoin",
                   simulator_.now(),
@@ -92,6 +199,7 @@ ClusterScheduler::retire(int machine_id)
         sim::fatal("ClusterScheduler::retire: last routed machine");
     standby_.insert(*it);
     entries_.erase(it);
+    rebuildMembers();
     ++retires_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "retire",
                   simulator_.now(), {{"machine", machine_id}});
@@ -120,6 +228,7 @@ ClusterScheduler::restore(int machine_id, PoolType origin)
     entry.pool = origin;
     entry.mixedSince = 0;
     entries_[machine_id] = entry;
+    rebuildMembers();
     ++restores_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "restore",
                   simulator_.now(),
@@ -162,12 +271,7 @@ ClusterScheduler::setBrownoutLevel(int level)
 std::size_t
 ClusterScheduler::poolSize(PoolType pool) const
 {
-    std::size_t n = 0;
-    for (const auto& [id, entry] : entries_) {
-        if (entry.pool == pool)
-            ++n;
-    }
-    return n;
+    return members_.pool[poolIndex(pool)].size();
 }
 
 bool
@@ -200,7 +304,8 @@ ClusterScheduler::originOf(int machine_id) const
 }
 
 engine::Machine*
-ClusterScheduler::pickRandom(std::vector<engine::Machine*>& eligible) const
+ClusterScheduler::pickRandom(
+    const std::vector<engine::Machine*>& eligible) const
 {
     if (eligible.empty())
         return nullptr;
@@ -214,57 +319,23 @@ ClusterScheduler::jsqPrompt(PoolType pool) const
 {
     // A mixed-pool machine retains its identity (SIV-A): a prompt
     // machine temporarily running tokens still takes prompt work.
-    engine::Machine* best = nullptr;
-    std::int64_t best_depth = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        const bool ok =
-            entry.pool == pool ||
-            (pool == PoolType::kPrompt && entry.pool == PoolType::kMixed &&
-             entry.origin == PoolType::kPrompt);
-        if (!ok)
-            continue;
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
-        const std::int64_t depth = entry.machine->promptQueueDepthTokens();
-        if (depth < best_depth) {
-            best_depth = depth;
-            best = entry.machine;
-        }
-    }
+    const auto& members = promptMembers(pool);
     if (config_.routing == RoutingPolicy::kRandom)
-        return pickRandom(eligible);
-    return best;
+        return pickRandom(members);
+    return leastLoaded(members, [](const engine::Machine& m) {
+        return m.promptQueueDepthTokens();
+    });
 }
 
 engine::Machine*
 ClusterScheduler::jsqToken(PoolType pool) const
 {
-    engine::Machine* best = nullptr;
-    std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        const bool ok =
-            entry.pool == pool ||
-            (pool == PoolType::kToken && entry.pool == PoolType::kMixed &&
-             entry.origin == PoolType::kToken);
-        if (!ok)
-            continue;
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
-        const std::int64_t load = entry.machine->tokenLoadTokens();
-        if (load < best_load) {
-            best_load = load;
-            best = entry.machine;
-        }
-    }
+    const auto& members = tokenMembers(pool);
     if (config_.routing == RoutingPolicy::kRandom)
-        return pickRandom(eligible);
-    return best;
+        return pickRandom(members);
+    return leastLoaded(members, [](const engine::Machine& m) {
+        return m.tokenLoadTokens();
+    });
 }
 
 void
@@ -276,6 +347,7 @@ ClusterScheduler::moveToPool(int machine_id, PoolType pool)
     entry.pool = pool;
     if (pool == PoolType::kMixed)
         entry.mixedSince = simulator_.now();
+    rebuildMembers();
     ++poolTransitions_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
                   "pool_transition", simulator_.now(),
@@ -389,8 +461,8 @@ std::int64_t
 ClusterScheduler::queuedPromptTokens() const
 {
     std::int64_t total = 0;
-    for (const auto& [id, entry] : entries_)
-        total += entry.machine->promptQueueDepthTokens();
+    for (const engine::Machine* m : members_.routed)
+        total += m->promptQueueDepthTokens();
     return total;
 }
 
@@ -444,25 +516,16 @@ ClusterScheduler::routeBaseline(engine::LiveRequest* request)
         return;
     }
     engine::Machine* best = nullptr;
-    std::int64_t best_depth = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
+    if (config_.routing == RoutingPolicy::kRandom) {
+        best = pickRandom(members_.routed);
+    } else {
         // Pending tokens: queued prompt work plus one per active
         // decode (a decode contributes one token per iteration).
-        const std::int64_t depth =
-            entry.machine->promptQueueDepthTokens() +
-            static_cast<std::int64_t>(entry.machine->mls().residentCount());
-        if (depth < best_depth) {
-            best_depth = depth;
-            best = entry.machine;
-        }
+        best = leastLoaded(members_.routed, [](const engine::Machine& m) {
+            return m.promptQueueDepthTokens() +
+                   static_cast<std::int64_t>(m.mls().residentCount());
+        });
     }
-    if (config_.routing == RoutingPolicy::kRandom)
-        best = pickRandom(eligible);
     request->tokenMachine = best->id();
     best->submitPrompt(request);
 }
@@ -542,6 +605,7 @@ ClusterScheduler::onIterationEnd(engine::Machine& machine)
         simulator_.now() - entry.mixedSince > config_.repurposeAfterUs) {
         entry.origin = entry.origin == PoolType::kPrompt ? PoolType::kToken
                                                          : PoolType::kPrompt;
+        rebuildMembers();
         ++repurposings_;
     }
 

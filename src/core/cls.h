@@ -1,7 +1,9 @@
 #ifndef SPLITWISE_CORE_CLS_H_
 #define SPLITWISE_CORE_CLS_H_
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -215,6 +217,27 @@ class ClusterScheduler {
     /** Machines currently assigned to @p pool (live only). */
     std::size_t poolSize(PoolType pool) const;
 
+    /**
+     * Machines eligible for prompt work when routing into @p pool:
+     * the pool's members, plus - for the prompt pool - mixed-pool
+     * machines of prompt origin. Cached; valid until the next
+     * membership change.
+     */
+    const std::vector<engine::Machine*>& promptMembers(PoolType pool) const;
+
+    /** Token-phase counterpart of promptMembers(). */
+    const std::vector<engine::Machine*>& tokenMembers(PoolType pool) const;
+
+    /**
+     * Self-check of the routable-member cache for the DST invariant
+     * hook: rebuilds the member lists from a fresh walk of the routed
+     * entries and compares them, order included, with the cached ones.
+     *
+     * @return Empty string when consistent, else a description of
+     *     the first list that disagrees.
+     */
+    std::string integrityError() const;
+
     /** True when the machine is live (member of some pool). */
     bool contains(int machine_id) const;
 
@@ -251,9 +274,38 @@ class ClusterScheduler {
         sim::TimeUs mixedSince = 0;
     };
 
-    /** Least prompt-loaded machine currently in @p pool with the
-     *  given origin filter (nullptr filter = any). */
+    /**
+     * The routable machines, grouped the way routing asks for them.
+     * Every list holds machines in entries_ iteration order, so a
+     * random index or a JSQ tie-break resolves exactly as a walk of
+     * entries_ would.
+     */
+    struct Members {
+        /** Every routed machine (baseline routing, queue totals). */
+        std::vector<engine::Machine*> routed;
+        /** Machines by current pool, indexed by PoolType. */
+        std::array<std::vector<engine::Machine*>, 3> pool;
+        /** Prompt pool plus mixed-pool machines of prompt origin: a
+         *  mixed machine keeps taking work of its own kind. */
+        std::vector<engine::Machine*> promptPhase;
+        /** Token pool plus mixed-pool machines of token origin. */
+        std::vector<engine::Machine*> tokenPhase;
+    };
+
+    /** Fill @p out from a walk of entries_ (capacity is kept). */
+    void buildMembers(Members& out) const;
+
+    /**
+     * Refresh members_ after any change to who is routed, to a
+     * routed machine's pool, or to a mixed machine's origin.
+     */
+    void rebuildMembers() { buildMembers(members_); }
+
+    /** Least prompt-loaded machine eligible for prompt work in
+     *  @p pool (a random one under kRandom). */
     engine::Machine* jsqPrompt(PoolType pool) const;
+    /** Least token-loaded machine eligible for decode work in
+     *  @p pool (a random one under kRandom). */
     engine::Machine* jsqToken(PoolType pool) const;
 
     void moveToPool(int machine_id, PoolType pool);
@@ -287,7 +339,8 @@ class ClusterScheduler {
     engine::Machine* pickTokenMachine();
 
     /** Uniform-random pick among eligible machines (kRandom). */
-    engine::Machine* pickRandom(std::vector<engine::Machine*>& eligible) const;
+    engine::Machine* pickRandom(
+        const std::vector<engine::Machine*>& eligible) const;
 
     sim::Simulator& simulator_;
     ClsConfig config_;
@@ -299,7 +352,8 @@ class ClusterScheduler {
     /** Entries retired from routing by the controller (draining or
      *  parked machines), waiting for restore(). */
     std::unordered_map<int, Entry> standby_;
-    std::vector<int> machineIds_;
+    /** Routable-member cache over entries_; see rebuildMembers(). */
+    Members members_;
     int brownoutLevel_ = 0;
     std::uint64_t mixedRoutes_ = 0;
     std::uint64_t poolTransitions_ = 0;

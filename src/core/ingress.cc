@@ -19,10 +19,11 @@ struct InspectDone {
     void
     signal()
     {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            done = true;
-        }
+        // Notify under the lock: once `done` is visible the waiter may
+        // return and destroy this object, so the condition variable
+        // must not be touched after the mutex is released.
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
         cv.notify_all();
     }
 
@@ -118,13 +119,17 @@ Ingress::inspect(const std::function<void(const Cluster&)>& fn)
     sim::Clock* clock = nullptr;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (state_ != State::kServing)
+        // Queue like submit(): an inspection that lands before the
+        // serve loop starts runs at its first drain, and one racing a
+        // shutdown runs in the loop's last drain or in endServe().
+        if (state_ == State::kDone)
             return false;
         Op op;
         op.kind = Op::Kind::kInspect;
         op.inspectFn = &fn;
         op.inspectDone = &done;
         mailbox_.push_back(std::move(op));
+        ++counters_.inspects;
         clock = clock_;
     }
     if (clock)

@@ -205,10 +205,11 @@ class Ingress {
     /**
      * Run @p fn against the serving cluster at its next quiescent
      * point, blocking until it completes — the race-free way to
-     * snapshot metrics from another thread.
+     * snapshot metrics from another thread. Like submit(), a call
+     * made before the serve loop starts queues and runs once it
+     * does (also when shutdown() lands first).
      *
-     * @return false (without running @p fn) when no serve loop is
-     *     active to execute it.
+     * @return false (without running @p fn) once serving has ended.
      */
     bool inspect(const std::function<void(const Cluster&)>& fn);
 
@@ -252,6 +253,14 @@ class Ingress {
         return counters_.cancels;
     }
 
+    /** Inspect operations queued for the serve loop. */
+    std::uint64_t
+    inspectsRequested() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return counters_.inspects;
+    }
+
     /**
      * Accepted submissions not yet terminally resolved. Zero once
      * serve() has returned — the no-leaked-requests gate the server
@@ -289,6 +298,7 @@ class Ingress {
         std::uint64_t rejectedByAdmission = 0;
         std::uint64_t rejectedAtShutdown = 0;
         std::uint64_t cancels = 0;
+        std::uint64_t inspects = 0;
     };
 
     // --- serving-thread interface (Cluster::serve) ---

@@ -193,7 +193,7 @@ CompletionService::handleMetrics(ResponseWriter& writer)
     });
     if (!live) {
         writer.writeFull(503, "application/json",
-                         "{\"error\":\"no serve loop\"}");
+                         "{\"error\":\"serving has ended\"}");
         return;
     }
     writer.writeFull(200, "application/json", body);

@@ -124,6 +124,8 @@ InvariantChecker::checkNow()
 {
     refreshIndex();
     checkRequests();
+    // Before machine-pool: its pool-size cross-check reads the cache.
+    checkClsMembership();
     checkMachines();
     if (controller_)
         checkController();
@@ -556,6 +558,18 @@ InvariantChecker::checkEventQueue()
         cluster_.simulator().eventQueue().integrityError();
     if (!err.empty())
         violate("event-queue", err);
+}
+
+void
+InvariantChecker::checkClsMembership()
+{
+    // The scheduler routes from cached member lists rebuilt on every
+    // membership change; a missed rebuild would route to a failed or
+    // retired machine, or silently skew random picks and JSQ
+    // tie-breaks. Compare the cache with a fresh walk.
+    const std::string err = cluster_.scheduler().integrityError();
+    if (!err.empty())
+        violate("cls-membership", err);
 }
 
 void

@@ -139,6 +139,8 @@ class InvariantChecker {
     /** Span-tracker balance + structural integrity (span-balance). */
     void checkSpanTimelines();
     void checkEventQueue();
+    /** Routable-member cache vs a fresh walk (cls-membership). */
+    void checkClsMembership();
 
     core::Cluster& cluster_;
     InvariantOptions options_;

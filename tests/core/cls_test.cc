@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/cluster.h"
 #include "core/designs.h"
+#include "hw/machine_spec.h"
 #include "model/llm_config.h"
+#include "model/memory_model.h"
+#include "model/perf_model.h"
 #include "workload/trace_gen.h"
 #include "workload/workloads.h"
 
@@ -279,6 +286,253 @@ TEST(ClsTest, BaselineRoutesWholeRequestsByLoad)
     for (const auto& m : cluster.machines())
         EXPECT_GT(m->stats().tokensGenerated, 0);
 }
+
+/**
+ * Membership churn against a CLS over hand-built machines, so a test
+ * can fail, retire, restore and rejoin machines between arrivals and
+ * run the clock with no Cluster around it. Every request has one
+ * output token: its prompt is the whole request, and the token
+ * machine the CLS picks is recorded but never used.
+ */
+class ClsChurnTest : public ::testing::TestWithParam<RoutingPolicy> {
+  protected:
+    static constexpr int kPromptMachines = 4;
+    static constexpr int kTokenMachines = 4;
+    static constexpr int kMachines = kPromptMachines + kTokenMachines;
+
+    ClsChurnTest()
+        : perf_(model::llama2_70b(), hw::dgxH100()),
+          memory_(model::llama2_70b(), hw::dgxH100())
+    {
+    }
+
+    /** Build the CLS: ids 0-3 prompt, 4-7 token. */
+    void
+    build(sim::TimeUs repurpose_after_us)
+    {
+        std::vector<engine::Machine*> prompt;
+        std::vector<engine::Machine*> token;
+        for (int id = 0; id < kMachines; ++id) {
+            engine::Machine::Callbacks cb;
+            cb.onIterationEnd = [this](engine::Machine& m) {
+                cls_->onIterationEnd(m);
+                // Pool returns and re-purposings happen here, between
+                // the test's own checkpoints.
+                EXPECT_EQ(cls_->integrityError(), "");
+            };
+            machines_.push_back(std::make_unique<engine::Machine>(
+                sim_, id, hw::dgxH100(), perf_, memory_,
+                engine::MlsConfig{}, std::move(cb)));
+            (id < kPromptMachines ? prompt : token)
+                .push_back(machines_.back().get());
+        }
+        ClsConfig config;
+        config.routing = GetParam();
+        config.routingSeed = 7;
+        config.promptOverflowTokens = 3000;
+        config.repurposeAfterUs = repurpose_after_us;
+        cls_ = std::make_unique<ClusterScheduler>(sim_, config, prompt,
+                                                  token, true);
+    }
+
+    /** Route @p count arrivals, checking each pick is routable. */
+    void
+    route(int count, std::int64_t prompt_tokens = 1000)
+    {
+        for (int i = 0; i < count; ++i) {
+            engine::LiveRequest& req = requests_.emplace_back();
+            req.spec = {nextId_++, sim_.now(), prompt_tokens, 1};
+            ASSERT_TRUE(cls_->onArrival(&req));
+            for (const int id : {req.promptMachine, req.tokenMachine}) {
+                EXPECT_TRUE(cls_->contains(id)) << "routed to " << id;
+                EXPECT_FALSE(cls_->inStandby(id)) << "standby " << id;
+                EXPECT_EQ(down_.count(id), 0u) << "failed " << id;
+            }
+        }
+    }
+
+    /** Run every queued prompt to completion. */
+    void settle() { sim_.run(); }
+
+    /**
+     * The cache matches a fresh walk, and every member list holds
+     * exactly the routed machines its pool and origin admit.
+     */
+    void
+    expectMembersConsistent()
+    {
+        ASSERT_EQ(cls_->integrityError(), "");
+        for (const PoolType pool :
+             {PoolType::kPrompt, PoolType::kToken, PoolType::kMixed}) {
+            std::set<int> want_prompt;
+            std::set<int> want_token;
+            for (int id = 0; id < kMachines; ++id) {
+                if (!cls_->contains(id))
+                    continue;
+                const PoolType at = cls_->poolOf(id);
+                const PoolType origin = cls_->originOf(id);
+                const bool mixed = at == PoolType::kMixed;
+                if (at == pool ||
+                    (pool == PoolType::kPrompt && mixed &&
+                     origin == PoolType::kPrompt))
+                    want_prompt.insert(id);
+                if (at == pool ||
+                    (pool == PoolType::kToken && mixed &&
+                     origin == PoolType::kToken))
+                    want_token.insert(id);
+            }
+            EXPECT_EQ(ids(cls_->promptMembers(pool)), want_prompt)
+                << poolTypeName(pool);
+            EXPECT_EQ(ids(cls_->tokenMembers(pool)), want_token)
+                << poolTypeName(pool);
+        }
+    }
+
+    static std::set<int>
+    ids(const std::vector<engine::Machine*>& members)
+    {
+        std::set<int> out;
+        for (const engine::Machine* m : members)
+            out.insert(m->id());
+        EXPECT_EQ(out.size(), members.size()) << "duplicate member";
+        return out;
+    }
+
+    /** Ids of routed machines currently in the mixed pool. */
+    std::vector<int>
+    mixedMachines() const
+    {
+        std::vector<int> out;
+        for (int id = 0; id < kMachines; ++id) {
+            if (cls_->contains(id) && cls_->poolOf(id) == PoolType::kMixed)
+                out.push_back(id);
+        }
+        return out;
+    }
+
+    sim::Simulator sim_;
+    model::AnalyticalPerfModel perf_;
+    model::MemoryModel memory_;
+    std::vector<std::unique_ptr<engine::Machine>> machines_;
+    std::unique_ptr<ClusterScheduler> cls_;
+    std::deque<engine::LiveRequest> requests_;
+    std::uint64_t nextId_ = 0;
+    /** Machines the test marked failed in the CLS. */
+    std::set<int> down_;
+};
+
+TEST_P(ClsChurnTest, RoutingFollowsMembershipChurn)
+{
+    build(/*repurpose_after_us=*/0);
+    expectMembersConsistent();
+    route(8);
+    settle();
+
+    // Failures: one machine of each pool leaves routing.
+    cls_->markFailed(1);
+    cls_->markFailed(5);
+    down_ = {1, 5};
+    expectMembersConsistent();
+    EXPECT_EQ(cls_->poolSize(PoolType::kPrompt), 3u);
+    EXPECT_EQ(cls_->poolSize(PoolType::kToken), 3u);
+    route(12);
+    settle();
+
+    // Controller standby: retired machines drain but take no work.
+    cls_->retire(2);
+    cls_->retire(6);
+    expectMembersConsistent();
+    route(12);
+    settle();
+
+    // Restore one in place and flex the other token -> prompt.
+    cls_->restore(2);
+    cls_->restore(6, PoolType::kPrompt);
+    EXPECT_EQ(cls_->poolOf(6), PoolType::kPrompt);
+    expectMembersConsistent();
+    EXPECT_EQ(cls_->poolSize(PoolType::kPrompt), 4u);
+    EXPECT_EQ(cls_->poolSize(PoolType::kToken), 2u);
+    route(12);
+    settle();
+
+    // Recovered machines rejoin their origin pools.
+    cls_->rejoin(1);
+    cls_->rejoin(5);
+    down_.clear();
+    expectMembersConsistent();
+    route(8);
+    settle();
+
+    // A burst of large prompts overloads the prompt side and pulls
+    // token machines into the mixed pool. A pulled token machine
+    // keeps its identity: it stays eligible for decode work in the
+    // token pool and never for prompt work there.
+    route(40, 2000);
+    const std::vector<int> mixed = mixedMachines();
+    ASSERT_FALSE(mixed.empty());
+    EXPECT_GT(cls_->poolTransitions(), 0u);
+    expectMembersConsistent();
+    for (const int id : mixed) {
+        EXPECT_EQ(cls_->originOf(id), PoolType::kToken);
+        const auto eligible = ids(cls_->tokenMembers(PoolType::kToken));
+        EXPECT_EQ(eligible.count(id), 1u) << id;
+        EXPECT_EQ(ids(cls_->promptMembers(PoolType::kPrompt)).count(id), 0u)
+            << id;
+        EXPECT_EQ(ids(cls_->promptMembers(PoolType::kMixed)).count(id), 1u)
+            << id;
+    }
+
+    // Drained, every pulled machine returns to its origin pool.
+    settle();
+    EXPECT_TRUE(mixedMachines().empty());
+    EXPECT_EQ(cls_->repurposings(), 0u);
+    for (int id = 0; id < kMachines; ++id)
+        EXPECT_EQ(cls_->poolOf(id), cls_->originOf(id)) << id;
+    expectMembersConsistent();
+    route(8);
+    settle();
+    expectMembersConsistent();
+}
+
+TEST_P(ClsChurnTest, RepurposedMachinesSwitchPhaseEligibility)
+{
+    // Any mixed-pool stay outlasts 1 us, so every pulled token
+    // machine is re-purposed into the prompt pool on its first
+    // iteration end.
+    build(/*repurpose_after_us=*/1);
+    route(40, 2000);
+    ASSERT_FALSE(mixedMachines().empty());
+    settle();
+    EXPECT_GT(cls_->repurposings(), 0u);
+    EXPECT_TRUE(mixedMachines().empty());
+    expectMembersConsistent();
+    std::size_t flexed = 0;
+    for (int id = kPromptMachines; id < kMachines; ++id) {
+        if (cls_->originOf(id) != PoolType::kPrompt)
+            continue;
+        ++flexed;
+        EXPECT_EQ(ids(cls_->promptMembers(PoolType::kPrompt)).count(id), 1u);
+        EXPECT_EQ(ids(cls_->tokenMembers(PoolType::kToken)).count(id), 0u);
+    }
+    EXPECT_EQ(flexed, cls_->repurposings());
+    EXPECT_EQ(cls_->poolSize(PoolType::kPrompt), kPromptMachines + flexed);
+
+    // Churn on top of the new roles keeps the cache exact.
+    cls_->markFailed(kMachines - 1);
+    down_ = {kMachines - 1};
+    route(12);
+    settle();
+    expectMembersConsistent();
+}
+
+INSTANTIATE_TEST_SUITE_P(Routing, ClsChurnTest,
+                         ::testing::Values(RoutingPolicy::kRandom,
+                                           RoutingPolicy::kJsq),
+                         [](const auto& info) {
+                             return info.param == RoutingPolicy::kRandom
+                                        ? std::string("Random")
+                                        : std::string("Jsq");
+                         });
 
 }  // namespace
 }  // namespace splitwise::core

@@ -10,6 +10,7 @@
 #include "core/cluster.h"
 #include "core/designs.h"
 #include "core/recording.h"
+#include "core/run.h"
 #include "model/llm_config.h"
 #include "sim/clock.h"
 
@@ -222,22 +223,112 @@ TEST(IngressTest, InspectSeesTheLiveCluster)
     RequestHandle handle =
         serve.ingress().submit(request(128, 3), log.callback());
     ASSERT_TRUE(handle.valid());
-    // The serve thread may not have entered its loop yet; inspect
-    // reports false until it does, so spin until it lands.
-    bool ran = false;
-    while (!ran) {
-        ran = serve.ingress().inspect([](const Cluster& cluster) {
-            EXPECT_GE(cluster.metrics().names().size(), 1u);
-        });
-        if (!ran)
-            std::this_thread::yield();
-    }
+    // The serve thread may not have entered its loop yet; the
+    // inspection queues until it does.
+    const bool ran = serve.ingress().inspect([](const Cluster& cluster) {
+        EXPECT_GE(cluster.metrics().names().size(), 1u);
+    });
     EXPECT_TRUE(ran);
     awaitTerminal(log);
     (void)handle.detach();
     serve.finish();
     // After the loop exits, inspect reports no serving.
     EXPECT_FALSE(serve.ingress().inspect([](const Cluster&) {}));
+}
+
+/** Calls inspect() on its own thread; result() is -1 while the
+ *  call blocks, else 1 (ran) or 0 (refused). */
+class BackgroundInspect {
+  public:
+    explicit BackgroundInspect(Ingress& ingress)
+        : ingress_(ingress), thread_([this] {
+              const bool ran = ingress_.inspect([this](const Cluster& c) {
+                  sawMachines_ = c.machines().size();
+              });
+              result_ = ran ? 1 : 0;
+          })
+    {
+    }
+
+    ~BackgroundInspect()
+    {
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    BackgroundInspect(const BackgroundInspect&) = delete;
+    BackgroundInspect& operator=(const BackgroundInspect&) = delete;
+
+    /** Block until the call is queued in the mailbox or returned. */
+    void
+    awaitQueuedOrDone() const
+    {
+        while (ingress_.inspectsRequested() == 0 && result_.load() < 0)
+            std::this_thread::yield();
+    }
+
+    int result() const { return result_.load(); }
+
+    int
+    join()
+    {
+        thread_.join();
+        return result_.load();
+    }
+
+    std::size_t sawMachines() const { return sawMachines_; }
+
+  private:
+    Ingress& ingress_;
+    std::atomic<int> result_{-1};
+    std::size_t sawMachines_ = 0;
+    std::thread thread_;
+};
+
+RunOptions
+liveOptions()
+{
+    RunOptions options;
+    options.llm = model::llama2_70b();
+    options.design = splitwiseHH(1, 1);
+    return options;
+}
+
+TEST(IngressTest, InspectBeforeServingStartsRunsOnceServingBegins)
+{
+    // An HTTP metrics read can reach the ingress before the serve
+    // loop has started. It must queue like a submission and run at
+    // the loop's first drain, not be refused.
+    Ingress ingress;
+    sim::SimClock clock;
+    BackgroundInspect inspect(ingress);
+    inspect.awaitQueuedOrDone();
+    ASSERT_EQ(inspect.result(), -1) << "inspect refused before serving";
+
+    std::thread serve([&] { runLive(liveOptions(), ingress, clock); });
+    EXPECT_EQ(inspect.join(), 1);
+    EXPECT_EQ(inspect.sawMachines(), 2u);
+    ingress.shutdown();
+    serve.join();
+    EXPECT_EQ(ingress.inspectsRequested(), 1u);
+}
+
+TEST(IngressTest, InspectQueuedBeforeAnEarlyShutdownStillResolves)
+{
+    // Queued, then shut down, then served: the loop's drain still
+    // runs the inspection before it exits.
+    Ingress ingress;
+    sim::SimClock clock;
+    BackgroundInspect inspect(ingress);
+    inspect.awaitQueuedOrDone();
+    ASSERT_EQ(inspect.result(), -1) << "inspect refused before serving";
+    ingress.shutdown();
+
+    const RunReport report = runLive(liveOptions(), ingress, clock);
+    EXPECT_EQ(inspect.join(), 1);
+    EXPECT_EQ(report.requests.completed(), 0u);
+    // Serving is over now: a late inspection is refused at once.
+    EXPECT_FALSE(ingress.inspect([](const Cluster&) {}));
 }
 
 TEST(IngressTest, ConservationAcrossManyRequests)
