@@ -1,14 +1,13 @@
 /**
  * @file
- * Head-to-head events/sec benchmark of the event engine: the indexed
- * 4-ary pooled heap (sim::EventQueue) against an embedded copy of the
+ * Head-to-head events/sec benchmark of the event engine: the pooled
+ * 4-ary heap (sim::EventQueue) against an embedded copy of the
  * legacy queue it replaced (std::priority_queue + tombstone sets +
  * std::function actions).
  *
  * Workloads:
- *   churn   64-event schedule bursts drained to empty (the
+ *   churn   64-event post bursts drained to empty (the
  *           microbench shape the simulator's steady state reduces to)
- *   cancel  bursts where half the events are cancelled before firing
  *   ring    a deep queue (4096 pending) in pop-one/push-one steady
  *           state - the end-to-end cluster-simulation regime
  *   large   churn with 96-byte captures: inline for EventAction,
@@ -179,51 +178,6 @@ runChurnLegacy(LegacyEventQueue& queue, std::uint64_t iters)
     });
 }
 
-// --- cancel: half of each burst is cancelled before firing ----------
-
-WorkloadResult
-runCancelNew(sim::EventQueue& queue, std::uint64_t iters)
-{
-    std::vector<sim::EventId> ids;
-    ids.reserve(32);
-    return timed(iters * 64, [&] {
-        sim::TimeUs t = 0;
-        for (std::uint64_t it = 0; it < iters; ++it) {
-            ids.clear();
-            for (int i = 0; i < 64; ++i) {
-                auto handle =
-                    queue.schedule(t + (i * 37) % 1000, [] { ++g_fired; });
-                if (i % 2 == 0)
-                    ids.push_back(handle.release());
-                else
-                    handle.cancel();
-            }
-            while (!queue.empty())
-                queue.pop().action();
-            t += 1000;
-        }
-    });
-}
-
-WorkloadResult
-runCancelLegacy(LegacyEventQueue& queue, std::uint64_t iters)
-{
-    return timed(iters * 64, [&] {
-        sim::TimeUs t = 0;
-        for (std::uint64_t it = 0; it < iters; ++it) {
-            for (int i = 0; i < 64; ++i) {
-                const auto id =
-                    queue.schedule(t + (i * 37) % 1000, [] { ++g_fired; });
-                if (i % 2 != 0)
-                    queue.cancel(id);
-            }
-            while (!queue.empty())
-                queue.pop().action();
-            t += 1000;
-        }
-    });
-}
-
 // --- ring: deep queue in pop-one/push-one steady state --------------
 
 template <typename Queue, typename Schedule>
@@ -312,14 +266,14 @@ main(int argc, char** argv)
 {
     bench::parseBenchArgs(
         argc, argv, "bench_events",
-        "events/sec of the indexed-heap event engine vs the legacy "
+        "events/sec of the pooled-heap event engine vs the legacy "
         "priority_queue+tombstone implementation");
 
     const bool short_run = bench::benchArgs().shortRun;
     const std::uint64_t iters = short_run ? 20'000 : 120'000;
     const std::uint64_t ring_pops = short_run ? 500'000 : 4'000'000;
 
-    bench::banner("event engine: new (indexed 4-ary pooled heap) vs "
+    bench::banner("event engine: new (pooled 4-ary heap) vs "
                   "legacy (priority_queue + tombstones)");
 
     // Warm both implementations once so pool growth / allocator
@@ -343,20 +297,6 @@ main(int argc, char** argv)
         legacy_churn = report("legacy", "churn", runChurnLegacy(queue, iters));
     }
     speedup("churn", new_churn, legacy_churn);
-
-    double new_cancel = 0.0;
-    {
-        sim::EventQueue queue;
-        queue.reserve(64);
-        new_cancel = report("new", "cancel", runCancelNew(queue, iters));
-    }
-    double legacy_cancel = 0.0;
-    {
-        LegacyEventQueue queue;
-        legacy_cancel =
-            report("legacy", "cancel", runCancelLegacy(queue, iters));
-    }
-    speedup("cancel", new_cancel, legacy_cancel);
 
     double new_ring = 0.0;
     {

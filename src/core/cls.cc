@@ -262,10 +262,8 @@ ClusterScheduler::setBrownoutLevel(int level)
     brownoutLevel_ = level;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
                   "brownout", simulator_.now(), {{"level", level}});
-#if SPLITWISE_TELEMETRY_ENABLED
     if (spans_)
         spans_->setBrownoutLevel(level);
-#endif
 }
 
 std::size_t

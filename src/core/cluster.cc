@@ -56,12 +56,10 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
                                      engine::LiveRequest* req) {
         const metrics::RequestResult result = req->result();
         results_.add(result);
-#if SPLITWISE_TELEMETRY_ENABLED
         if (spans_) {
             spans_->complete(req->spec.id, simulator_.now(),
                              worstSlowdown(result));
         }
-#endif
         if (liveDone_)
             liveDone_(req);
         // The machine dropped every reference before this callback
@@ -262,22 +260,21 @@ Cluster::setupTelemetry()
         return pool_power(design_.numPrompt, design_.machines());
     });
 
-    if (config_.telemetry.perMachineSeries) {
-        for (const auto& m_ptr : machines_) {
-            engine::Machine* m = m_ptr.get();
-            const std::string prefix = "m" + std::to_string(m->id()) + "_";
-            registry_.addGauge(prefix + "queue_tokens", [m] {
-                return static_cast<double>(m->promptQueueDepthTokens());
-            });
-            registry_.addGauge(prefix + "kv_tokens", [m] {
-                return static_cast<double>(m->tokenLoadTokens());
-            });
-            registry_.addGauge(prefix + "active_tokens", [m] {
-                return static_cast<double>(m->stats().activeTokens.value());
-            });
-            registry_.addGauge(prefix + "power_w",
-                               [m] { return m->currentPowerWatts(); });
-        }
+    // Per-machine gauges alongside the pool and cluster aggregates.
+    for (const auto& m_ptr : machines_) {
+        engine::Machine* m = m_ptr.get();
+        const std::string prefix = "m" + std::to_string(m->id()) + "_";
+        registry_.addGauge(prefix + "queue_tokens", [m] {
+            return static_cast<double>(m->promptQueueDepthTokens());
+        });
+        registry_.addGauge(prefix + "kv_tokens", [m] {
+            return static_cast<double>(m->tokenLoadTokens());
+        });
+        registry_.addGauge(prefix + "active_tokens", [m] {
+            return static_cast<double>(m->stats().activeTokens.value());
+        });
+        registry_.addGauge(prefix + "power_w",
+                           [m] { return m->currentPowerWatts(); });
     }
 
     if (config_.telemetry.traceEnabled) {
@@ -293,12 +290,9 @@ Cluster::setupTelemetry()
         cls_->setTrace(trace_.get());
     }
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (config_.telemetry.spanTracking) {
         telemetry::SpanTrackerConfig span_config;
         span_config.exemplarK = std::max(0, config_.telemetry.exemplarK);
-        span_config.flightRecorderCapacity = static_cast<std::size_t>(
-            std::max(0, config_.telemetry.flightRecorderCapacity));
         spans_ = std::make_unique<telemetry::SpanTracker>(span_config);
         sloRef_ = std::make_unique<SloChecker>(llm_);
         for (const auto& m : machines_)
@@ -306,7 +300,6 @@ Cluster::setupTelemetry()
         engine_.setSpans(spans_.get());
         cls_->setSpans(spans_.get());
     }
-#endif
 }
 
 double

@@ -80,9 +80,9 @@ struct TokenUpdate {
 using StreamCallback = std::function<void(const TokenUpdate&)>;
 
 /**
- * Owner of one submitted request, in the EventHandle mold: dropping
- * the handle cancels the request (the stream ends at the next token
- * boundary), detach() lets it run to completion unowned. Movable,
+ * RAII owner of one submitted request: dropping the handle cancels
+ * the request (the stream ends at the next token boundary), detach()
+ * lets it run to completion unowned. Movable,
  * not copyable. Returned [[nodiscard]] from Ingress::submit —
  * silently discarding it would cancel the request immediately.
  */

@@ -241,12 +241,10 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
         // owns the cache now.
         if (!src->failed())
             src->releaseKv(request);
-#if SPLITWISE_TELEMETRY_ENABLED
         // The destination's first decode iteration will close the
         // cross-machine flow arrow for this request.
         if (trace_)
             trace_->markPendingFlow(request->spec.id);
-#endif
         dst->acceptTransferred(request);
         if (done)
             done(request);

@@ -153,7 +153,6 @@ void
 Machine::setSpans(telemetry::SpanTracker* spans)
 {
     spans_ = spans;
-#if SPLITWISE_TELEMETRY_ENABLED
     // A preempted resident's KV is dropped and it recomputes from the
     // queue, so its attribution returns to the queue phase.
     if (spans) {
@@ -164,7 +163,6 @@ Machine::setSpans(telemetry::SpanTracker* spans)
     } else {
         mls_.setPreemptHook(nullptr);
     }
-#endif
 }
 
 void
@@ -316,7 +314,6 @@ Machine::startIteration()
     const bool has_prompt = !plan.prompts.empty();
     const bool has_decode = !plan.decodes.empty();
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (trace_) {
         const char* kind = has_prompt && has_decode ? "mixed_iter"
                            : has_prompt             ? "prompt_iter"
@@ -357,7 +354,6 @@ Machine::startIteration()
                                simulator_.now());
         }
     }
-#endif
     double gpu_fraction = 0.0;
     if (has_prompt) {
         gpu_fraction = power_.promptPowerFraction(plan.promptTokens);

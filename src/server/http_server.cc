@@ -7,7 +7,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace splitwise::server {
@@ -25,6 +24,32 @@ statusText(int status)
       case 503: return "Service Unavailable";
       default: return "Unknown";
     }
+}
+
+/** Cap on a request's header block and on its declared body. */
+constexpr std::size_t kMaxMessageBytes = 1u << 20;
+
+/**
+ * Parse a Content-Length value: decimal digits, optionally padded
+ * with blanks. @return false when malformed or over kMaxMessageBytes.
+ */
+bool
+parseContentLength(const std::string& value, std::size_t& length)
+{
+    const std::size_t first = value.find_first_not_of(" \t");
+    if (first == std::string::npos)
+        return false;
+    const std::size_t last = value.find_last_not_of(" \t");
+    std::size_t n = 0;
+    for (std::size_t i = first; i <= last; ++i) {
+        if (!std::isdigit(static_cast<unsigned char>(value[i])))
+            return false;
+        n = n * 10 + static_cast<std::size_t>(value[i] - '0');
+        if (n > kMaxMessageBytes)
+            return false;
+    }
+    length = n;
+    return true;
 }
 
 }  // namespace
@@ -191,13 +216,22 @@ HttpServer::handleConnection(int fd)
         }
         data.append(buffer, static_cast<std::size_t>(n));
         header_end = data.find("\r\n\r\n");
-        if (data.size() > (1u << 20))
+        if (data.size() > kMaxMessageBytes)
             break;  // Oversized header: drop the connection.
     }
     if (header_end == std::string::npos) {
         ::close(fd);
         return;
     }
+
+    // A malformed or unsatisfiable frame gets a 400 without ever
+    // reaching the handler.
+    auto reject = [fd](const char* error) {
+        ResponseWriter writer(fd);
+        writer.writeFull(400, "application/json",
+                         std::string("{\"error\":\"") + error + "\"}");
+        ::close(fd);
+    };
 
     HttpRequest request;
     {
@@ -226,9 +260,10 @@ HttpServer::handleConnection(int fd)
                 std::string name = header.substr(0, 15);
                 for (char& c : name)
                     c = static_cast<char>(std::tolower(c));
-                if (name == "content-length:") {
-                    content_length = static_cast<std::size_t>(
-                        std::strtoull(header.c_str() + 15, nullptr, 10));
+                if (name == "content-length:" &&
+                    !parseContentLength(header.substr(15), content_length)) {
+                    reject("bad Content-Length");
+                    return;
                 }
             }
             pos = end;
@@ -237,8 +272,10 @@ HttpServer::handleConnection(int fd)
         std::string body = data.substr(header_end + 4);
         while (body.size() < content_length) {
             const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-            if (n <= 0)
-                break;
+            if (n <= 0) {
+                reject("body shorter than Content-Length");
+                return;
+            }
             body.append(buffer, static_cast<std::size_t>(n));
         }
         request.body = std::move(body);

@@ -70,6 +70,9 @@ using HttpHandler =
  * The listener: accepts loopback connections until stop(). Each
  * connection gets its own thread, reads one request, runs the
  * handler, and closes (Connection: close keeps framing trivial).
+ * Headers and declared bodies are capped at 1 MiB; a non-numeric or
+ * over-cap Content-Length, or a body that ends short of it, is
+ * answered 400 without reaching the handler.
  */
 class HttpServer {
   public:

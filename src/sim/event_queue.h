@@ -7,27 +7,20 @@
  *
  * Design (see DESIGN.md "Event engine"):
  *
- *  - An indexed 4-ary min-heap of slot indices into a pooled record
- *    array. Each record knows its heap position, so cancel() is a
- *    true O(log n) heap removal - no tombstone sets, no lazy
- *    skipping, and memory is exactly proportional to pending events.
- *  - Records come from a free list and are recycled after fire or
- *    cancel, so the steady-state schedule/pop loop allocates nothing
- *    once the pool reaches its high-water mark.
+ *  - A 4-ary min-heap of slot indices into a pooled record array.
+ *    The queue supports exactly two operations, post and pop: pop
+ *    moves the last heap entry to the root and sifts it down.
+ *  - Records come from a LIFO free list and are recycled after they
+ *    fire, so the steady-state post/pop loop allocates nothing once
+ *    the pool reaches its high-water mark.
  *  - Actions are EventAction (small-buffer-optimized); the common
  *    capture shapes in machine.cc / kv_transfer.cc / cluster.cc stay
  *    inline.
  *  - Ordering is (time, priority, insertion sequence): lower
  *    priority values run first at equal timestamps, and remaining
- *    ties preserve scheduling order - the determinism contract every
- *    golden/DST suite pins down.
- *
- * Ownership: fire-and-forget events are post()ed; events the caller
- * may need to cancel are schedule()d, which returns an RAII
- * EventHandle. A handle can only ever cancel the exact scheduling it
- * came from - generation counters make a handle to a fired (or
- * recycled) event an inert no-op, eliminating the cancel-after-fire
- * footgun of raw ids.
+ *    ties preserve posting order. The order is strict and total, so
+ *    the pop sequence is fully determined by the post sequence - the
+ *    determinism contract every golden/DST suite pins down.
  */
 
 #include <cstdint>
@@ -40,104 +33,19 @@
 namespace splitwise::sim {
 
 /**
- * Raw identity of a scheduled event: a pool slot plus a generation
- * stamp. Only meaningful to the queue that issued it. Prefer
- * EventHandle; raw ids exist for EventHandle::release() escape
- * hatches and the reference-model property tests.
- */
-using EventId = std::uint64_t;
-
-/** Sentinel id that no schedule() ever returns. */
-inline constexpr EventId kInvalidEventId = ~std::uint64_t{0};
-
-class EventQueue;
-
-/**
- * RAII ownership of one pending event.
- *
- * Destroying (or overwriting) the handle cancels the event if it is
- * still pending; a handle whose event already fired is inert.
- * release() opts out of auto-cancel and yields the raw EventId for
- * callers that manage cancellation manually.
- *
- * Handles must not outlive their queue.
- */
-class EventHandle {
-  public:
-    EventHandle() = default;
-
-    EventHandle(EventHandle&& other) noexcept
-        : queue_(other.queue_), id_(other.id_)
-    {
-        other.queue_ = nullptr;
-        other.id_ = kInvalidEventId;
-    }
-
-    EventHandle&
-    operator=(EventHandle&& other) noexcept
-    {
-        if (this != &other) {
-            cancel();
-            queue_ = other.queue_;
-            id_ = other.id_;
-            other.queue_ = nullptr;
-            other.id_ = kInvalidEventId;
-        }
-        return *this;
-    }
-
-    EventHandle(const EventHandle&) = delete;
-    EventHandle& operator=(const EventHandle&) = delete;
-
-    ~EventHandle() { cancel(); }
-
-    /**
-     * Cancel the event if still pending; harmless (and idempotent)
-     * after the event fired or was already cancelled.
-     */
-    void cancel();
-
-    /** True while the underlying event is still pending. */
-    bool pending() const;
-
-    /**
-     * Detach: the event stays scheduled, auto-cancel is disarmed,
-     * and the raw id is returned (kInvalidEventId if the handle was
-     * empty). The caller owns any further cancellation.
-     */
-    EventId
-    release()
-    {
-        const EventId id = queue_ != nullptr ? id_ : kInvalidEventId;
-        queue_ = nullptr;
-        id_ = kInvalidEventId;
-        return id;
-    }
-
-  private:
-    friend class EventQueue;
-
-    EventHandle(EventQueue* queue, EventId id) : queue_(queue), id_(id) {}
-
-    EventQueue* queue_ = nullptr;
-    EventId id_ = kInvalidEventId;
-};
-
-/**
  * An event popped from the queue, ready to run. The action has been
  * moved out of the pool, so it stays valid even when the callback
- * schedules new events that recycle the slot.
+ * posts new events that recycle the slot.
  */
 struct Event {
     TimeUs time = 0;
     int priority = 0;
-    EventId id = kInvalidEventId;
     EventAction action;
 };
 
 /**
- * A deterministic discrete-event priority queue with O(log n)
- * schedule, pop, and cancel (see the file comment for the layout).
+ * A deterministic discrete-event priority queue with O(log n) post
+ * and pop (see the file comment for the layout).
  */
 class EventQueue {
   public:
@@ -147,42 +55,13 @@ class EventQueue {
     EventQueue& operator=(const EventQueue&) = delete;
 
     /**
-     * Schedule a fire-and-forget action at an absolute simulated
-     * time. Use schedule() instead when the event may need
-     * cancelling.
+     * Schedule an action at an absolute simulated time.
      *
      * @param time Absolute timestamp.
      * @param action Callback to execute.
      * @param priority Tie-break at equal times; lower runs first.
      */
-    void
-    post(TimeUs time, EventAction action, int priority = 0)
-    {
-        push(time, std::move(action), priority);
-    }
-
-    /**
-     * Schedule an action and return an owning handle. The event is
-     * cancelled when the handle dies, unless the handle is
-     * release()d first.
-     */
-    [[nodiscard]] EventHandle
-    schedule(TimeUs time, EventAction action, int priority = 0)
-    {
-        return EventHandle(this, push(time, std::move(action), priority));
-    }
-
-    /**
-     * Cancel a pending event by raw id: O(log n) removal, no
-     * tombstones. Ids from a previous generation of the slot (fired,
-     * cancelled, recycled) are ignored.
-     *
-     * @return true when a pending event was actually removed.
-     */
-    bool cancel(EventId id);
-
-    /** True while @p id names a still-pending event. */
-    bool pending(EventId id) const;
+    void post(TimeUs time, EventAction action, int priority = 0);
 
     /** True when no pending events remain. */
     bool empty() const { return heap_.empty(); }
@@ -200,7 +79,7 @@ class EventQueue {
      */
     Event pop();
 
-    /** Total events ever scheduled (statistics/debugging). */
+    /** Total events ever posted (statistics/debugging). */
     std::uint64_t scheduledCount() const { return scheduled_; }
 
     /** Allocation-behaviour counters for the steady-state tests. */
@@ -227,8 +106,8 @@ class EventQueue {
 
     /**
      * Structural self-check for the DST invariant hook: verifies the
-     * heap property, the record<->heap index mapping, and free-list
-     * accounting.
+     * heap property, that heap plus free slots account for the whole
+     * pool, and that exactly the pending slots hold an action.
      *
      * @return Empty string when consistent, else a description of
      *     the first inconsistency found.
@@ -241,28 +120,8 @@ class EventQueue {
         /** Insertion sequence: the final deterministic tie-break. */
         std::uint64_t seq = 0;
         int priority = 0;
-        /** Bumped on fire/cancel so stale ids and handles go inert. */
-        std::uint32_t gen = 0;
-        /** Index into heap_; kNotInHeap while free. */
-        std::uint32_t heapPos = kNotInHeap;
         EventAction action;
     };
-
-    static constexpr std::uint32_t kNotInHeap = ~std::uint32_t{0};
-
-    static EventId
-    makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<std::uint64_t>(gen) << 32) | slot;
-    }
-    static std::uint32_t idSlot(EventId id)
-    {
-        return static_cast<std::uint32_t>(id & 0xffffffffu);
-    }
-    static std::uint32_t idGen(EventId id)
-    {
-        return static_cast<std::uint32_t>(id >> 32);
-    }
 
     /** True when the record at slot @p a orders before slot @p b. */
     bool
@@ -277,24 +136,8 @@ class EventQueue {
         return ra.seq < rb.seq;
     }
 
-    EventId push(TimeUs time, EventAction action, int priority);
-
-    /** Remove the heap entry at @p pos, restoring the heap property. */
-    void removeAt(std::uint32_t pos);
-
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
-
-    /** Retire a slot after fire/cancel: bump gen, recycle. */
-    void
-    retire(std::uint32_t slot)
-    {
-        Record& r = records_[slot];
-        r.action.reset();
-        r.heapPos = kNotInHeap;
-        ++r.gen;
-        free_.push_back(slot);
-    }
 
     /** Event records, indexed by slot; grows only at high-water. */
     std::vector<Record> records_;
@@ -306,22 +149,6 @@ class EventQueue {
     std::uint64_t scheduled_ = 0;
     std::uint64_t poolGrowths_ = 0;
 };
-
-inline void
-EventHandle::cancel()
-{
-    if (queue_ != nullptr) {
-        queue_->cancel(id_);
-        queue_ = nullptr;
-        id_ = kInvalidEventId;
-    }
-}
-
-inline bool
-EventHandle::pending() const
-{
-    return queue_ != nullptr && queue_->pending(id_);
-}
 
 }  // namespace splitwise::sim
 

@@ -22,23 +22,21 @@ Simulator::panicNegativeDelay() const
 Simulator::HookId
 Simulator::addTimeAdvanceHook(TimeAdvanceHook hook)
 {
-    extraHooks_.push_back(std::move(hook));
-    return extraHooks_.size() - 1;
+    hooks_.push_back(std::move(hook));
+    return hooks_.size() - 1;
 }
 
 void
 Simulator::removeTimeAdvanceHook(HookId id)
 {
-    if (id < extraHooks_.size())
-        extraHooks_[id] = nullptr;
+    if (id < hooks_.size())
+        hooks_[id] = nullptr;
 }
 
 void
 Simulator::fireTimeAdvance(TimeUs next)
 {
-    if (timeAdvanceHook_)
-        timeAdvanceHook_(next);
-    for (const auto& hook : extraHooks_) {
+    for (const auto& hook : hooks_) {
         if (hook)
             hook(next);
     }

@@ -20,10 +20,11 @@ namespace splitwise::sim {
  * deterministic order until the queue drains or a stop condition
  * fires.
  *
- * Two scheduling families mirror the queue's ownership model:
- * post()/postAfter() for fire-and-forget events (the overwhelmingly
- * common case) and schedule()/scheduleAfter() returning an RAII
- * EventHandle when the caller may need to cancel.
+ * Every event is fire-and-forget: post() at an absolute time or
+ * postAfter() a relative delay. Nothing is ever cancelled: a
+ * component whose plan changes captures an epoch in the closure and
+ * ignores the event when it fires stale (see Machine's iteration
+ * epoch and the KV transfer engine's restart epoch).
  */
 class Simulator {
   public:
@@ -69,32 +70,6 @@ class Simulator {
     }
 
     /**
-     * Schedule an action at an absolute time and own it: the
-     * returned handle cancels the event when destroyed (see
-     * EventHandle::release() to opt out).
-     */
-    [[nodiscard]] EventHandle
-    schedule(TimeUs time, EventAction action, int priority = 0)
-    {
-        checkNotPast(time);
-        return queue_.schedule(time, std::move(action), priority);
-    }
-
-    /** Handle-owning variant of postAfter(). */
-    [[nodiscard]] EventHandle
-    scheduleAfter(TimeUs delay, EventAction action, int priority = 0)
-    {
-        checkDelay(delay);
-        return queue_.schedule(now_ + delay, std::move(action), priority);
-    }
-
-    /**
-     * Cancel by raw id (from EventHandle::release()); no-op if the
-     * event already executed.
-     */
-    void cancel(EventId id) { queue_.cancel(id); }
-
-    /**
      * Run until the event queue drains or simulated time exceeds
      * @p until.
      *
@@ -130,18 +105,7 @@ class Simulator {
     using HookId = std::size_t;
 
     /**
-     * Single-slot hook, kept for the common one-observer case (the
-     * time-series sampler). Pass nullptr to detach. Runs before any
-     * addTimeAdvanceHook() observers.
-     */
-    void setTimeAdvanceHook(TimeAdvanceHook hook)
-    {
-        timeAdvanceHook_ = std::move(hook);
-    }
-
-    /**
-     * Attach an additional time-advance observer. Hooks run in
-     * attachment order, after the setTimeAdvanceHook() slot.
+     * Attach a time-advance observer. Hooks run in attachment order.
      *
      * @return Handle for removeTimeAdvanceHook().
      */
@@ -191,9 +155,8 @@ class Simulator {
     TimeUs now_ = 0;
     std::uint64_t executed_ = 0;
     bool stopRequested_ = false;
-    TimeAdvanceHook timeAdvanceHook_;
-    /** Extra observers; removal nulls the slot to keep ids stable. */
-    std::vector<TimeAdvanceHook> extraHooks_;
+    /** Attached observers; removal nulls the slot to keep ids stable. */
+    std::vector<TimeAdvanceHook> hooks_;
 };
 
 }  // namespace splitwise::sim

@@ -4,13 +4,9 @@
 /**
  * @file
  * Telemetry facade: configuration plus the TELEM_* instrumentation
- * macros used on simulation hot paths.
- *
- * Build-time switch: configuring with -DSPLITWISE_TELEMETRY=OFF
- * defines SPLITWISE_TELEMETRY_DISABLED, compiling every TELEM_*
- * macro to nothing - the event loop pays literally zero cost for
- * tracing hooks. With telemetry compiled in but no recorder attached
- * (the default at runtime), each macro costs one pointer test.
+ * macros used on simulation hot paths. Instrumentation is always
+ * compiled in; with no recorder attached (the default at runtime),
+ * each macro costs one pointer test.
  */
 
 #include "sim/time.h"
@@ -18,12 +14,6 @@
 #include "telemetry/span_tracker.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace_recorder.h"
-
-#ifdef SPLITWISE_TELEMETRY_DISABLED
-#define SPLITWISE_TELEMETRY_ENABLED 0
-#else
-#define SPLITWISE_TELEMETRY_ENABLED 1
-#endif
 
 namespace splitwise::telemetry {
 
@@ -36,12 +26,6 @@ struct TelemetryConfig {
      * Fault epochs additionally trigger on-event samples.
      */
     sim::TimeUs sampleIntervalUs = 0;
-    /**
-     * Emit per-machine gauge columns (queue depth, KV tokens,
-     * residents, active tokens, power) in addition to the pool and
-     * cluster aggregates.
-     */
-    bool perMachineSeries = true;
 
     /**
      * Track per-request causal span timelines (SpanTracker): latency
@@ -54,9 +38,6 @@ struct TelemetryConfig {
     /** Worst-offender exemplar timelines kept (0 disables). */
     int exemplarK = 3;
 
-    /** Flight-recorder ring capacity (recent completed timelines). */
-    int flightRecorderCapacity = 256;
-
     /** True when any telemetry stream is requested. */
     bool
     any() const
@@ -66,8 +47,6 @@ struct TelemetryConfig {
 };
 
 }  // namespace splitwise::telemetry
-
-#if SPLITWISE_TELEMETRY_ENABLED
 
 /** Open a span: TELEM_SPAN_BEGIN(rec, track, "name", now[, {args}]). */
 #define TELEM_SPAN_BEGIN(rec, track, name, now, ...) \
@@ -145,43 +124,5 @@ struct TelemetryConfig {
         if (rec) \
             (rec)->flowEnd((track), (name), (now), (id)); \
     } while (0)
-
-#else  // SPLITWISE_TELEMETRY_ENABLED
-
-#define TELEM_SPAN_BEGIN(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_SPAN_END(rec, track, now) \
-    do { \
-    } while (0)
-#define TELEM_TRANSITION(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_CLOSE(rec, track, now) \
-    do { \
-    } while (0)
-#define TELEM_INSTANT(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_REQ_PHASE(spans, id, phase, now) \
-    do { \
-    } while (0)
-#define TELEM_REQ_RESTART(spans, id, now) \
-    do { \
-    } while (0)
-#define TELEM_REQ_COMPLETE(spans, id, now, slowdown) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_START(rec, track, name, now, id) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_STEP(rec, track, name, now, id) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_END(rec, track, name, now, id) \
-    do { \
-    } while (0)
-
-#endif  // SPLITWISE_TELEMETRY_ENABLED
 
 #endif  // SPLITWISE_TELEMETRY_TELEMETRY_H_

@@ -142,7 +142,7 @@ TimeSeriesSampler::install()
     series_.columns.push_back("t_s");
     for (const auto& name : registry_.names())
         series_.columns.push_back(name);
-    simulator_.setTimeAdvanceHook(
+    hook_ = simulator_.addTimeAdvanceHook(
         [this](sim::TimeUs next) { onAdvance(next); });
     emitRow(simulator_.now());
     nextSample_ = simulator_.now() + interval_;
@@ -167,7 +167,10 @@ void
 TimeSeriesSampler::finish()
 {
     emitRow(simulator_.now());
-    simulator_.setTimeAdvanceHook(nullptr);
+    if (hook_) {
+        simulator_.removeTimeAdvanceHook(*hook_);
+        hook_.reset();
+    }
 }
 
 void

@@ -1,6 +1,7 @@
 #ifndef SPLITWISE_TELEMETRY_TIMESERIES_H_
 #define SPLITWISE_TELEMETRY_TIMESERIES_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,8 @@ class TimeSeriesSampler {
     sim::Simulator& simulator_;
     const MetricsRegistry& registry_;
     sim::TimeUs interval_;
+    /** Set between install() and finish(). */
+    std::optional<sim::Simulator::HookId> hook_;
     sim::TimeUs nextSample_ = 0;
     sim::TimeUs lastRowTs_ = -1;
     TimeSeries series_;

@@ -550,8 +550,8 @@ InvariantChecker::checkTransfers()
 void
 InvariantChecker::checkEventQueue()
 {
-    // Structural self-check of the indexed heap: heap property,
-    // record<->position back-pointers, and free-list accounting. A
+    // Structural self-check of the pooled heap: heap property, slot
+    // accounting, and action presence on pending vs free slots. A
     // corrupt queue would reorder events and break determinism long
     // before it crashed, so DST probes it at every quiescent point.
     const std::string err =
@@ -575,11 +575,6 @@ InvariantChecker::checkClsMembership()
 void
 InvariantChecker::checkTelemetry()
 {
-#if !SPLITWISE_TELEMETRY_ENABLED
-    // The TELEM_* macros compile to no-ops: no span ever opens, so
-    // balance against live state is meaningless here.
-    return;
-#else
     const telemetry::TraceRecorder* rec = cluster_.traceRecorder();
     if (!rec)
         return;
@@ -600,13 +595,11 @@ InvariantChecker::checkTelemetry()
                 std::to_string(rec->openSpans()) + " open spans, expected " +
                     std::to_string(expected));
     }
-#endif
 }
 
 void
 InvariantChecker::checkSpanTimelines()
 {
-#if SPLITWISE_TELEMETRY_ENABLED
     const telemetry::SpanTracker* spans = cluster_.spanTracker();
     if (!spans)
         return;
@@ -637,7 +630,6 @@ InvariantChecker::checkSpanTimelines()
     const std::string err = spans->integrityError();
     if (!err.empty())
         violate("span-balance", err);
-#endif
 }
 
 void
@@ -726,7 +718,6 @@ InvariantChecker::finalCheck(const core::RunReport& report)
                     " waiting transfers after the run drained");
     }
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (const auto* rec = cluster_.traceRecorder()) {
         if (rec->openSpans() != 0) {
             violate("span-balance",
@@ -754,7 +745,6 @@ InvariantChecker::finalCheck(const core::RunReport& report)
                         std::to_string(done) + " requests finished");
         }
     }
-#endif
 }
 
 }  // namespace splitwise::testing

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -266,55 +267,45 @@ TEST(SummaryProperty, PercentilesMatchSortedReference)
 }
 
 // ---------------------------------------------------------------
-// EventQueue randomized schedule/cancel/pop against a reference
-// model (multiset of live entries).
+// EventQueue randomized post/pop against a reference model: an
+// ordered set of (time, priority, seq) keys. The order is total, so
+// the reference pins the exact event every pop must return.
 // ---------------------------------------------------------------
 
 TEST(EventQueueProperty, RandomOpsMatchReferenceModel)
 {
     sim::EventQueue queue;
-    // Reference: map id -> time for live events.
-    std::map<sim::EventId, std::int64_t> reference;
-    std::vector<sim::EventId> all_ids;
+    using Key = std::tuple<std::int64_t, int, std::uint64_t>;
+    std::set<Key> reference;
+    std::uint64_t next_seq = 0;
+    std::uint64_t fired_seq = 0;
     sim::Rng rng(4242);
 
-    auto reference_next = [&]() -> std::int64_t {
-        std::int64_t best = INT64_MAX;
-        for (const auto& [id, t] : reference)
-            best = std::min(best, t);
-        return best;
-    };
-
     for (int step = 0; step < 4000; ++step) {
-        const int op = static_cast<int>(rng.uniformInt(0, 2));
-        if (op == 0 || reference.empty()) {
-            const std::int64_t t = rng.uniformInt(0, 1000);
-            const auto id = queue.schedule(t, [] {}).release();
-            reference[id] = t;
-            all_ids.push_back(id);
-        } else if (op == 1) {
-            // Cancel a random known id (live or not).
-            const auto id = all_ids[static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(
-                                      all_ids.size() - 1)))];
-            queue.cancel(id);
-            reference.erase(id);
+        // Post-biased so the heap grows deep before draining; narrow
+        // time and priority ranges force plenty of exact ties.
+        if (reference.empty() || rng.uniformInt(0, 2) != 0) {
+            const std::int64_t t = rng.uniformInt(0, 200);
+            const int priority = static_cast<int>(rng.uniformInt(-1, 1));
+            const std::uint64_t seq = next_seq++;
+            queue.post(t, [&fired_seq, seq] { fired_seq = seq; }, priority);
+            reference.emplace(t, priority, seq);
         } else {
-            const auto ev = queue.pop();
-            // Must be a live reference entry at the minimum time.
-            const auto it = reference.find(ev.id);
-            ASSERT_NE(it, reference.end()) << "step " << step;
-            ASSERT_EQ(it->second, ev.time);
-            ASSERT_EQ(it->second, reference_next());
-            reference.erase(it);
+            sim::Event ev = queue.pop();
+            ev.action();
+            const Key expected = *reference.begin();
+            reference.erase(reference.begin());
+            ASSERT_EQ(Key(ev.time, ev.priority, fired_seq), expected)
+                << "step " << step;
         }
         ASSERT_EQ(queue.size(), reference.size());
         ASSERT_EQ(queue.empty(), reference.empty());
-        if (!reference.empty()) {
-            ASSERT_EQ(queue.nextTime(), reference_next());
-        }
+        ASSERT_EQ(queue.nextTime(), reference.empty()
+                                        ? sim::kTimeNever
+                                        : std::get<0>(*reference.begin()));
         ASSERT_EQ(queue.integrityError(), "") << "step " << step;
     }
+    ASSERT_EQ(queue.scheduledCount(), next_seq);
 }
 
 // ---------------------------------------------------------------

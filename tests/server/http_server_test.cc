@@ -7,6 +7,11 @@
 
 #include "server/serving.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -74,6 +79,51 @@ class ServerFixture : public ::testing::Test {
     std::unique_ptr<HttpServer> http_;
 };
 
+/**
+ * Send @p raw verbatim over a fresh loopback connection, half-close
+ * the write side, and return the response's status code (-1 when no
+ * status line came back). Bypasses http_client so a test controls
+ * the framing headers byte for byte.
+ */
+int
+rawStatus(int port, const std::string& raw)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    std::string response;
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0)
+        response.append(buffer, static_cast<std::size_t>(n));
+    ::close(fd);
+    // "HTTP/1.1 NNN ..."
+    if (response.size() < 12 || response.compare(0, 9, "HTTP/1.1 ") != 0)
+        return -1;
+    return std::stoi(response.substr(9, 3));
+}
+
+/** A completion POST whose Content-Length header reads @p length. */
+std::string
+completionWithLength(const std::string& length)
+{
+    return "POST /v1/completions HTTP/1.1\r\n"
+           "Content-Length: " +
+           length +
+           "\r\n\r\n"
+           "{\"prompt_tokens\": 128, \"output_tokens\": 3}";
+}
+
 /** Wall-clock variant: tokens stream at real decode cadence, so a
  *  client's DELETE can land mid-stream instead of losing the race
  *  against virtual time. */
@@ -122,6 +172,40 @@ TEST_F(ServerFixture, MalformedBodyIs400)
     const HttpResult missing =
         httpRequest(port(), "POST", "/v1/completions", "{}");
     EXPECT_EQ(missing.status, 400);
+}
+
+TEST_F(ServerFixture, WellFormedContentLengthIsServed)
+{
+    // Control for the 400 cases below: the same raw request with an
+    // exact (or blank-padded) length reaches the handler.
+    const std::string body = "{\"prompt_tokens\": 128, \"output_tokens\": 3}";
+    EXPECT_EQ(rawStatus(port(),
+                        completionWithLength(std::to_string(body.size()))),
+              200);
+    EXPECT_EQ(rawStatus(port(), completionWithLength(
+                                    " " + std::to_string(body.size()) + " ")),
+              200);
+}
+
+TEST_F(ServerFixture, BodyShorterThanContentLengthIs400)
+{
+    // The body is complete JSON, so only framing can catch it.
+    EXPECT_EQ(rawStatus(port(), completionWithLength("200")), 400);
+}
+
+TEST_F(ServerFixture, BadContentLengthIs400)
+{
+    EXPECT_EQ(rawStatus(port(), completionWithLength("abc")), 400);
+    EXPECT_EQ(rawStatus(port(), completionWithLength("12abc")), 400);
+    EXPECT_EQ(rawStatus(port(), completionWithLength("")), 400);
+    EXPECT_EQ(rawStatus(port(), completionWithLength("-1")), 400);
+    // Over the 1 MiB cap: refused before any body is read.
+    EXPECT_EQ(rawStatus(port(), completionWithLength(
+                                    std::to_string((1u << 20) + 1))),
+              400);
+    EXPECT_EQ(rawStatus(port(), completionWithLength(
+                                    "99999999999999999999999")),
+              400);
 }
 
 TEST_F(ServerFixture, UnknownRouteIs404)

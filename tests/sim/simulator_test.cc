@@ -27,7 +27,7 @@ TEST(SimulatorTest, RunAdvancesClockToEventTimes)
     EXPECT_EQ(s.now(), 250);
 }
 
-TEST(SimulatorTest, ScheduleAfterIsRelative)
+TEST(SimulatorTest, PostAfterIsRelative)
 {
     Simulator s;
     TimeUs fired_at = -1;
@@ -99,44 +99,6 @@ TEST(SimulatorTest, RequestStopHaltsRun)
     EXPECT_EQ(count, 2);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution)
-{
-    Simulator s;
-    bool ran = false;
-    EventHandle handle = s.schedule(10, [&] { ran = true; });
-    handle.cancel();
-    s.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, DroppedHandleAutoCancels)
-{
-    Simulator s;
-    bool ran = false;
-    {
-        EventHandle handle = s.schedule(10, [&] { ran = true; });
-        EXPECT_TRUE(handle.pending());
-    }
-    s.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, ReleasedHandleKeepsEventScheduled)
-{
-    Simulator s;
-    bool ran = false;
-    EventId id = kInvalidEventId;
-    {
-        EventHandle handle = s.schedule(10, [&] { ran = true; });
-        id = handle.release();
-    }
-    EXPECT_NE(id, kInvalidEventId);
-    s.run();
-    EXPECT_TRUE(ran);
-    // Raw-id cancel after the fact is inert.
-    s.cancel(id);
-}
-
 TEST(SimulatorDeathTest, SchedulingInThePastPanics)
 {
     Simulator s;
@@ -165,7 +127,7 @@ TEST(SimulatorTest, TimeAdvanceHookSeesTheJumpBeforeItHappens)
 {
     Simulator s;
     std::vector<std::pair<TimeUs, TimeUs>> jumps;  // (now, next)
-    s.setTimeAdvanceHook(
+    s.addTimeAdvanceHook(
         [&](TimeUs next) { jumps.emplace_back(s.now(), next); });
     s.post(100, [] {});
     s.post(100, [] {});  // same-time event: no jump, no hook
@@ -180,24 +142,45 @@ TEST(SimulatorTest, TimeAdvanceHookFiresOnStepToo)
 {
     Simulator s;
     TimeUs next_seen = -1;
-    s.setTimeAdvanceHook([&](TimeUs next) { next_seen = next; });
+    s.addTimeAdvanceHook([&](TimeUs next) { next_seen = next; });
     s.post(42, [] {});
     s.step();
     EXPECT_EQ(next_seen, 42);
 }
 
-TEST(SimulatorTest, NullTimeAdvanceHookDetaches)
+TEST(SimulatorTest, RemovedTimeAdvanceHookDetaches)
 {
     Simulator s;
     int fired = 0;
-    s.setTimeAdvanceHook([&](TimeUs) { ++fired; });
+    const Simulator::HookId id =
+        s.addTimeAdvanceHook([&](TimeUs) { ++fired; });
     s.post(10, [] {});
     s.run();
     EXPECT_EQ(fired, 1);
-    s.setTimeAdvanceHook(nullptr);
+    s.removeTimeAdvanceHook(id);
+    s.removeTimeAdvanceHook(id);  // idempotent
     s.post(20, [] {});
     s.run();
     EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorTest, TimeAdvanceHooksRunInAttachmentOrder)
+{
+    Simulator s;
+    std::vector<int> order;
+    s.addTimeAdvanceHook([&](TimeUs) { order.push_back(1); });
+    const Simulator::HookId middle =
+        s.addTimeAdvanceHook([&](TimeUs) { order.push_back(2); });
+    s.addTimeAdvanceHook([&](TimeUs) { order.push_back(3); });
+    s.post(10, [] {});
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    // Removing one leaves the survivors' order and ids untouched.
+    s.removeTimeAdvanceHook(middle);
+    order.clear();
+    s.post(20, [] {});
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(SimulatorTest, SameTimeEventsRunInScheduleOrder)

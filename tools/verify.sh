@@ -2,15 +2,14 @@
 #
 # Full verification sweep for the Splitwise simulator.
 #
-#   tools/verify.sh          tier-1 build + tests, telemetry-off build,
-#                            format check, determinism gate
+#   tools/verify.sh          tier-1 build + tests, format check,
+#                            determinism gate
 #   tools/verify.sh --asan   ... plus an ASan/UBSan build + tests (slow)
 #   tools/verify.sh --tsan   ... plus a TSan build of the parallel
 #                            sweep tests (slow)
 #
 # Build trees:
-#   build/          default (telemetry on) - the tier-1 tree
-#   build-notelem/  -DSPLITWISE_TELEMETRY=OFF
+#   build/          default - the tier-1 tree
 #   build-asan/     -DSPLITWISE_SANITIZE=address,undefined (--asan only)
 #   build-tsan/     -DSPLITWISE_SANITIZE=thread (--tsan only)
 
@@ -38,13 +37,6 @@ cmake --build build -j
 
 step "tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
-
-step "telemetry-off build (-DSPLITWISE_TELEMETRY=OFF)"
-cmake -B build-notelem -S . -DSPLITWISE_TELEMETRY=OFF >/dev/null
-cmake --build build-notelem -j
-
-step "telemetry-off ctest"
-ctest --test-dir build-notelem --output-on-failure -j "$(nproc)"
 
 step "determinism gate: fig12 sweep --jobs 1 vs --jobs 8"
 tmpdir="$(mktemp -d)"
