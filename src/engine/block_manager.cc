@@ -65,14 +65,14 @@ BlockManager::allocate(std::uint64_t request_id, std::int64_t tokens)
 {
     if (tokens < 0)
         sim::panic("BlockManager::allocate with negative tokens");
-    if (table_.count(request_id) > 0)
+    if (table_.contains(request_id))
         return false;
-    const std::int64_t effective =
-        std::max<std::int64_t>(0, tokens - prefixTokensHeldBy(request_id));
+    const std::int64_t prefix = prefixTokensHeldBy(request_id);
+    const std::int64_t effective = std::max<std::int64_t>(0, tokens - prefix);
     const std::int64_t need = blocksFor(effective);
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    table_[request_id] = {effective, need};
+    table_[request_id] = {effective, need, prefix};
     usedBlocks_ += need;
     usedTokens_ += effective;
     return true;
@@ -82,33 +82,34 @@ bool
 BlockManager::canExtend(std::uint64_t request_id,
                         std::int64_t new_total_tokens) const
 {
-    const auto it = table_.find(request_id);
-    if (it == table_.end())
+    const Allocation* alloc = table_.find(request_id);
+    if (alloc == nullptr)
         return false;
-    const std::int64_t effective = std::max<std::int64_t>(
-        0, new_total_tokens - prefixTokensHeldBy(request_id));
-    const std::int64_t need = blocksFor(effective) - it->second.blocks;
+    const std::int64_t effective =
+        std::max<std::int64_t>(0, new_total_tokens - alloc->prefixTokens);
+    const std::int64_t need = blocksFor(effective) - alloc->blocks;
     return need <= freeBlocks() + reclaimableBlocks_;
 }
 
 bool
 BlockManager::extend(std::uint64_t request_id, std::int64_t new_total_tokens)
 {
-    const auto it = table_.find(request_id);
-    if (it == table_.end())
+    Allocation* alloc = table_.find(request_id);
+    if (alloc == nullptr)
         return false;
-    const std::int64_t effective = std::max<std::int64_t>(
-        0, new_total_tokens - prefixTokensHeldBy(request_id));
-    if (effective <= it->second.tokens) {
+    const std::int64_t effective =
+        std::max<std::int64_t>(0, new_total_tokens - alloc->prefixTokens);
+    if (effective <= alloc->tokens) {
         // Contexts only grow; a no-op extension is still a success.
         return true;
     }
-    const std::int64_t need = blocksFor(effective) - it->second.blocks;
+    const std::int64_t need = blocksFor(effective) - alloc->blocks;
+    // reclaimFor() only erases prefix entries: alloc stays valid.
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    usedTokens_ += effective - it->second.tokens;
-    it->second.tokens = effective;
-    it->second.blocks += need;
+    usedTokens_ += effective - alloc->tokens;
+    alloc->tokens = effective;
+    alloc->blocks += need;
     usedBlocks_ += need;
     return true;
 }
@@ -116,11 +117,10 @@ BlockManager::extend(std::uint64_t request_id, std::int64_t new_total_tokens)
 void
 BlockManager::release(std::uint64_t request_id)
 {
-    const auto it = table_.find(request_id);
-    if (it != table_.end()) {
-        usedBlocks_ -= it->second.blocks;
-        usedTokens_ -= it->second.tokens;
-        table_.erase(it);
+    if (const Allocation* alloc = table_.find(request_id)) {
+        usedBlocks_ -= alloc->blocks;
+        usedTokens_ -= alloc->tokens;
+        table_.erase(request_id);
     }
     const auto pin = pins_.find(request_id);
     if (pin != pins_.end()) {
@@ -138,14 +138,14 @@ BlockManager::release(std::uint64_t request_id)
 bool
 BlockManager::holds(std::uint64_t request_id) const
 {
-    return table_.count(request_id) > 0;
+    return table_.contains(request_id);
 }
 
 std::int64_t
 BlockManager::tokensOf(std::uint64_t request_id) const
 {
-    const auto it = table_.find(request_id);
-    return it == table_.end() ? 0 : it->second.tokens;
+    const Allocation* alloc = table_.find(request_id);
+    return alloc == nullptr ? 0 : alloc->tokens;
 }
 
 std::vector<std::uint64_t>
@@ -153,8 +153,8 @@ BlockManager::heldRequestIds() const
 {
     std::vector<std::uint64_t> ids;
     ids.reserve(table_.size());
-    for (const auto& [id, alloc] : table_)
-        ids.push_back(id);
+    table_.forEach(
+        [&ids](std::uint64_t id, const Allocation&) { ids.push_back(id); });
     std::sort(ids.begin(), ids.end());
     return ids;
 }
@@ -259,6 +259,8 @@ BlockManager::acquirePrefix(std::uint64_t key, std::uint64_t request_id)
     }
     ++entry.refcount;
     pins_[request_id] = {key, entry.tokens};
+    if (Allocation* alloc = table_.find(request_id))
+        alloc->prefixTokens = entry.tokens;
     touch(entry);
     ++stats_.hits;
     stats_.hitTokens += entry.tokens;
@@ -298,20 +300,30 @@ BlockManager::audit() const
 {
     std::int64_t blocks = 0;
     std::int64_t tokens = 0;
-    for (const auto& [id, alloc] : table_) {
+    std::string error;
+    table_.forEach([&](std::uint64_t id, const Allocation& alloc) {
+        if (!error.empty())
+            return;
         if (alloc.tokens < 0 || alloc.blocks < 0) {
-            return "allocation for request " + std::to_string(id) +
-                   " has negative size";
-        }
-        if (alloc.blocks != blocksFor(alloc.tokens)) {
-            return "allocation for request " + std::to_string(id) + " holds " +
-                   std::to_string(alloc.blocks) + " blocks for " +
-                   std::to_string(alloc.tokens) + " tokens (expected " +
-                   std::to_string(blocksFor(alloc.tokens)) + ")";
+            error = "allocation for request " + std::to_string(id) +
+                    " has negative size";
+        } else if (alloc.blocks != blocksFor(alloc.tokens)) {
+            error = "allocation for request " + std::to_string(id) +
+                    " holds " + std::to_string(alloc.blocks) +
+                    " blocks for " + std::to_string(alloc.tokens) +
+                    " tokens (expected " +
+                    std::to_string(blocksFor(alloc.tokens)) + ")";
+        } else if (alloc.prefixTokens != prefixTokensHeldBy(id)) {
+            error = "allocation for request " + std::to_string(id) +
+                    " caches a " + std::to_string(alloc.prefixTokens) +
+                    "-token prefix but pins " +
+                    std::to_string(prefixTokensHeldBy(id));
         }
         blocks += alloc.blocks;
         tokens += alloc.tokens;
-    }
+    });
+    if (!error.empty())
+        return error;
     std::unordered_map<std::uint64_t, std::int64_t> pin_counts;
     for (const auto& [id, pin] : pins_) {
         const auto entry = prefixes_.find(pin.key);

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/flat_map.h"
+
 namespace splitwise::engine {
 
 /** Hit/miss/evict accounting for the shared-prefix tier. Survives
@@ -207,7 +209,9 @@ class BlockManager {
      * counts match blocksFor(), the used-block/used-token aggregates
      * equal the table sums (private tables plus the shared tier),
      * per-entry refcounts equal the number of pins pointing at them,
-     * and usage stays within [0, capacity]. The DST invariant checker
+     * every allocation's cached prefix size equals its pin's
+     * acquire-time tokens (0 without a pin), and usage stays within
+     * [0, capacity]. The DST invariant checker
      * calls this at every quiescent point; a leak or double-release
      * shows up as an aggregate mismatch.
      *
@@ -220,6 +224,10 @@ class BlockManager {
     struct Allocation {
         std::int64_t tokens = 0;
         std::int64_t blocks = 0;
+        /** The request's pinned prefix size (its pin's acquire-time
+         *  tokens, 0 without a pin), cached here so extend() needs
+         *  one probe per decode token instead of two lookups. */
+        std::int64_t prefixTokens = 0;
     };
 
     struct SharedPrefix {
@@ -253,7 +261,8 @@ class BlockManager {
     std::int64_t reclaimableTokens_ = 0;
     int blockSize_ = 16;
     std::uint64_t useTick_ = 0;
-    std::unordered_map<std::uint64_t, Allocation> table_;
+    /** Per-request block tables: probed once per decode token. */
+    sim::FlatMap<std::uint64_t, Allocation> table_;
     std::unordered_map<std::uint64_t, SharedPrefix> prefixes_;
     std::unordered_map<std::uint64_t, PrefixPin> pins_;
     PrefixCacheStats stats_;

@@ -21,8 +21,31 @@ KvTransferEngine::KvTransferEngine(sim::Simulator& simulator,
 void
 KvTransferEngine::registerMachine(Machine* machine)
 {
-    machines_[machine->id()] = machine;
-    nicFreeAt_.emplace(machine->id(), 0);
+    const int id = machine->id();
+    if (id < 0) {
+        sim::fatal("KvTransferEngine::registerMachine: negative machine id " +
+                   std::to_string(id));
+    }
+    const auto slot = static_cast<std::size_t>(id);
+    if (slot >= endpoints_.size())
+        endpoints_.resize(slot + 1);
+    if (endpoints_[slot].machine != nullptr) {
+        sim::fatal("KvTransferEngine::registerMachine: machine id " +
+                   std::to_string(id) + " registered twice");
+    }
+    endpoints_[slot].machine = machine;
+}
+
+KvTransferEngine::Endpoint&
+KvTransferEngine::endpoint(int machine_id)
+{
+    if (machine_id < 0 ||
+        static_cast<std::size_t>(machine_id) >= endpoints_.size() ||
+        endpoints_[static_cast<std::size_t>(machine_id)].machine == nullptr) {
+        sim::fatal("KvTransferEngine: unregistered machine id " +
+                   std::to_string(machine_id));
+    }
+    return endpoints_[static_cast<std::size_t>(machine_id)];
 }
 
 void
@@ -31,7 +54,7 @@ KvTransferEngine::injectLinkFault(int machine_id, sim::TimeUs from,
 {
     if (until <= from)
         sim::fatal("KvTransferEngine::injectLinkFault: empty window");
-    linkWindows_[machine_id].push_back({from, until, 0.0});
+    endpoint(machine_id).linkWindows.push_back({from, until, 0.0});
 }
 
 void
@@ -43,19 +66,17 @@ KvTransferEngine::injectLinkDegrade(int machine_id, sim::TimeUs from,
     if (bandwidth_factor <= 0.0 || bandwidth_factor > 1.0)
         sim::fatal("KvTransferEngine::injectLinkDegrade: factor must be "
                    "in (0, 1]");
-    linkWindows_[machine_id].push_back({from, until, bandwidth_factor});
+    endpoint(machine_id).linkWindows.push_back(
+        {from, until, bandwidth_factor});
 }
 
 double
-KvTransferEngine::degradeFactorAt(int src_id, int dst_id,
-                                  sim::TimeUs at) const
+KvTransferEngine::degradeFactorAt(const Endpoint& src, const Endpoint& dst,
+                                  sim::TimeUs at)
 {
     double factor = 1.0;
-    for (int id : {src_id, dst_id}) {
-        const auto it = linkWindows_.find(id);
-        if (it == linkWindows_.end())
-            continue;
-        for (const LinkWindow& w : it->second) {
+    for (const Endpoint* side : {&src, &dst}) {
+        for (const LinkWindow& w : side->linkWindows) {
             if (w.factor > 0.0 && w.from <= at && at < w.until)
                 factor = std::min(factor, w.factor);
         }
@@ -64,14 +85,11 @@ KvTransferEngine::degradeFactorAt(int src_id, int dst_id,
 }
 
 bool
-KvTransferEngine::linkFaultIn(int src_id, int dst_id, sim::TimeUs start,
-                              sim::TimeUs end) const
+KvTransferEngine::linkFaultIn(const Endpoint& src, const Endpoint& dst,
+                              sim::TimeUs start, sim::TimeUs end)
 {
-    for (int id : {src_id, dst_id}) {
-        const auto it = linkWindows_.find(id);
-        if (it == linkWindows_.end())
-            continue;
-        for (const LinkWindow& w : it->second) {
+    for (const Endpoint* side : {&src, &dst}) {
+        for (const LinkWindow& w : side->linkWindows) {
             if (w.factor == 0.0 && w.from < end && start < w.until)
                 return true;
         }
@@ -82,27 +100,30 @@ KvTransferEngine::linkFaultIn(int src_id, int dst_id, sim::TimeUs start,
 const model::TransferModel&
 KvTransferEngine::modelFor(const Machine& src, const Machine& dst)
 {
-    const auto key = std::make_pair(src.spec().name, dst.spec().name);
-    auto it = models_.find(key);
-    if (it == models_.end()) {
-        const hw::LinkSpec link = hw::linkBetween(src.spec(), dst.spec());
-        it = models_
-                 .emplace(key, model::TransferModel(llm_, link,
-                                                    layerwiseThreshold_,
-                                                    compressionRatio_))
-                 .first;
+    const std::string& src_spec = src.spec().name;
+    const std::string& dst_spec = dst.spec().name;
+    for (const CachedModel& cached : models_) {
+        if (cached.srcSpec == src_spec && cached.dstSpec == dst_spec)
+            return cached.model;
     }
-    return it->second;
+    const hw::LinkSpec link = hw::linkBetween(src.spec(), dst.spec());
+    models_.push_back({src_spec, dst_spec,
+                       model::TransferModel(llm_, link, layerwiseThreshold_,
+                                            compressionRatio_)});
+    return models_.back().model;
 }
 
 sim::TimeUs
 KvTransferEngine::interferenceFor(Machine& src, LiveRequest* request,
                                   sim::TimeUs prompt_compute)
 {
-    const auto dst_it = machines_.find(request->tokenMachine);
-    if (dst_it == machines_.end())
+    const int dst_id = request->tokenMachine;
+    if (dst_id < 0 || static_cast<std::size_t>(dst_id) >= endpoints_.size())
         return 0;
-    const auto& model = modelFor(src, *dst_it->second);
+    const Machine* dst = endpoints_[static_cast<std::size_t>(dst_id)].machine;
+    if (dst == nullptr)
+        return 0;
+    const auto& model = modelFor(src, *dst);
     if (!model.useLayerwise(request->spec.promptTokens))
         return 0;
     return model.layerwiseInterference(request->spec.promptTokens,
@@ -146,9 +167,9 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
                       {{"dst", dst->id()}});
         TELEM_REQ_PHASE(spans_, request->spec.id,
                         telemetry::SpanPhase::kKvStall, simulator_.now());
-        waiting_[dst->id()].push_back({request, src, prompt_compute,
-                                       request->restartEpoch,
-                                       std::move(done)});
+        endpoint(dst->id()).waiting.push_back({request, src, prompt_compute,
+                                               request->restartEpoch,
+                                               std::move(done)});
         return;
     }
     launch(request, src, dst, prompt_compute, std::move(done));
@@ -166,12 +187,14 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     const auto& model = modelFor(*src, *dst);
     const auto plan = model.plan(request->spec.promptTokens, prompt_compute);
 
+    Endpoint& src_end = endpoint(src->id());
+    Endpoint& dst_end = endpoint(dst->id());
     const sim::TimeUs now = simulator_.now();
     const sim::TimeUs start =
-        std::max({now, nicFreeAt_[src->id()], nicFreeAt_[dst->id()]});
+        std::max({now, src_end.nicFreeAt, dst_end.nicFreeAt});
 
     sim::TimeUs visible = plan.visibleUs;
-    const double factor = degradeFactorAt(src->id(), dst->id(), start);
+    const double factor = degradeFactorAt(src_end, dst_end, start);
     if (factor < 1.0) {
         visible = static_cast<sim::TimeUs>(
             static_cast<double>(visible) / factor);
@@ -185,9 +208,9 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     const sim::TimeUs end =
         start + (timed_out ? retry_.timeoutUs : visible);
     const bool faulted =
-        !timed_out && linkFaultIn(src->id(), dst->id(), start, end);
-    nicFreeAt_[src->id()] = end;
-    nicFreeAt_[dst->id()] = end;
+        !timed_out && linkFaultIn(src_end, dst_end, start, end);
+    src_end.nicFreeAt = end;
+    dst_end.nicFreeAt = end;
 
     const bool succeeds = !timed_out && !faulted;
     if (succeeds) {
@@ -313,37 +336,38 @@ std::size_t
 KvTransferEngine::waitingTransfers() const
 {
     std::size_t n = 0;
-    for (const auto& [id, queue] : waiting_)
-        n += queue.size();
+    for (const Endpoint& e : endpoints_)
+        n += e.waiting.size();
     return n;
 }
 
 void
 KvTransferEngine::onMemoryFreed(Machine* dst)
 {
-    auto it = waiting_.find(dst->id());
-    if (it == waiting_.end())
-        return;
+    auto& queue = endpoint(dst->id()).waiting;
     if (dst->failed()) {
-        waiting_.erase(it);
+        queue.clear();
         return;
     }
-    auto& queue = it->second;
-    while (!queue.empty()) {
-        Pending& head = queue.front();
+    // Serve the FIFO head-first, then drop the served prefix in one
+    // erase. launch() never parks a transfer, so the queue does not
+    // grow under the loop.
+    std::size_t served = 0;
+    for (; served < queue.size(); ++served) {
+        Pending& head = queue[served];
         if (head.request->restartEpoch != head.epoch) {
             // Restarted after a failure; the new incarnation is
             // routed elsewhere.
-            queue.pop_front();
             continue;
         }
         if (!dst->reserveKv(head.request, head.request->contextTokens() + 1))
             break;
         Pending pending = std::move(head);
-        queue.pop_front();
         launch(pending.request, pending.src, dst, pending.promptCompute,
                std::move(pending.done));
     }
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(served));
 }
 
 }  // namespace splitwise::engine

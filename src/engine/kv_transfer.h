@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "engine/machine.h"
@@ -92,7 +91,12 @@ class KvTransferEngine {
                      std::int64_t layerwise_threshold_tokens = 512,
                      double compression_ratio = 1.0);
 
-    /** Make a machine addressable as a transfer endpoint. */
+    /**
+     * Make a machine addressable as a transfer endpoint. Per-machine
+     * state lives in a vector indexed by the machine's id, so ids
+     * should be dense (Cluster numbers its machines 0..n-1); a
+     * negative or already-registered id is fatal.
+     */
     void registerMachine(Machine* machine);
 
     /** Install the transient-fault retry policy. */
@@ -110,13 +114,15 @@ class KvTransferEngine {
     /**
      * Mark @p machine_id's NIC faulty during [from, until): any
      * transfer attempt whose wire time overlaps the window fails.
+     * The machine must be registered.
      */
     void injectLinkFault(int machine_id, sim::TimeUs from, sim::TimeUs until);
 
     /**
      * Degrade @p machine_id's NIC bandwidth to @p bandwidth_factor of
      * nominal (0 < factor <= 1) during [from, until): attempts
-     * starting inside the window take 1/factor times longer.
+     * starting inside the window take 1/factor times longer. The
+     * machine must be registered.
      */
     void injectLinkDegrade(int machine_id, sim::TimeUs from,
                            sim::TimeUs until, double bandwidth_factor);
@@ -134,7 +140,8 @@ class KvTransferEngine {
 
     /**
      * TTFT interference a layer-wise transfer inflicts on the prompt
-     * iteration (wired into Machine::Callbacks::transferInterference).
+     * iteration (wired into Machine::Callbacks::transferInterference);
+     * 0 when the request has no registered token machine yet.
      */
     sim::TimeUs interferenceFor(Machine& src, LiveRequest* request,
                                 sim::TimeUs prompt_compute);
@@ -173,6 +180,27 @@ class KvTransferEngine {
         double factor = 0.0;
     };
 
+    /** One machine's transfer state. */
+    struct Endpoint {
+        Machine* machine = nullptr;
+        /** When the machine's NIC is next free. */
+        sim::TimeUs nicFreeAt = 0;
+        /** Injected fault/degradation windows. */
+        std::vector<LinkWindow> linkWindows;
+        /** Transfers waiting for this machine's KV memory, FIFO. */
+        std::vector<Pending> waiting;
+    };
+
+    /** A transfer model cached for one (src spec, dst spec) pair. */
+    struct CachedModel {
+        std::string srcSpec;
+        std::string dstSpec;
+        model::TransferModel model;
+    };
+
+    /** The registered endpoint for @p machine_id; fatal otherwise. */
+    Endpoint& endpoint(int machine_id);
+
     /** Transfer model for a machine pair (cached per spec pair). */
     const model::TransferModel& modelFor(const Machine& src,
                                          const Machine& dst);
@@ -185,12 +213,13 @@ class KvTransferEngine {
 
     /** Slowest degraded-bandwidth factor covering @p at on either
      *  endpoint; 1.0 when undegraded. */
-    double degradeFactorAt(int src_id, int dst_id, sim::TimeUs at) const;
+    static double degradeFactorAt(const Endpoint& src, const Endpoint& dst,
+                                  sim::TimeUs at);
 
     /** True when a fault window on either endpoint overlaps
      *  [start, end). */
-    bool linkFaultIn(int src_id, int dst_id, sim::TimeUs start,
-                     sim::TimeUs end) const;
+    static bool linkFaultIn(const Endpoint& src, const Endpoint& dst,
+                            sim::TimeUs start, sim::TimeUs end);
 
     /** A failed attempt: retry after backoff or abort. */
     void handleAttemptFailure(LiveRequest* request, Machine* src,
@@ -206,16 +235,12 @@ class KvTransferEngine {
     double compressionRatio_;
     KvRetryPolicy retry_;
     AbortCallback onAbort_;
-    std::unordered_map<int, Machine*> machines_;
-    /** NIC availability per machine id. */
-    std::unordered_map<int, sim::TimeUs> nicFreeAt_;
-    /** Injected fault/degradation windows per machine id. */
-    std::unordered_map<int, std::vector<LinkWindow>> linkWindows_;
-    /** Cached transfer models keyed by (src spec, dst spec) names. */
-    std::map<std::pair<std::string, std::string>, model::TransferModel>
-        models_;
-    /** Transfers waiting for destination memory, per machine id. */
-    std::unordered_map<int, std::deque<Pending>> waiting_;
+    /** Per-machine state indexed by machine id; unregistered ids
+     *  hold a null machine. */
+    std::vector<Endpoint> endpoints_;
+    /** One entry per spec pair seen, searched linearly (a fleet has
+     *  a handful of specs); a deque so references stay valid. */
+    std::deque<CachedModel> models_;
     Stats stats_;
     telemetry::TraceRecorder* trace_ = nullptr;
     telemetry::SpanTracker* spans_ = nullptr;

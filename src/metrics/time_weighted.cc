@@ -1,5 +1,7 @@
 #include "metrics/time_weighted.h"
 
+#include <algorithm>
+
 namespace splitwise::metrics {
 
 void
@@ -11,17 +13,29 @@ TimeWeightedHistogram::record(std::int64_t value, sim::TimeUs duration)
     total_ += duration;
 }
 
+std::vector<std::pair<std::int64_t, sim::TimeUs>>
+TimeWeightedHistogram::sorted() const
+{
+    std::vector<std::pair<std::int64_t, sim::TimeUs>> out;
+    out.reserve(timeAt_.size());
+    timeAt_.forEach([&out](std::int64_t v, sim::TimeUs t) {
+        out.emplace_back(v, t);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 double
 TimeWeightedHistogram::cdfAt(std::int64_t value) const
 {
     if (total_ == 0)
         return 0.0;
+    // Integer sums are order-independent: no sort needed.
     sim::TimeUs acc = 0;
-    for (const auto& [v, t] : timeAt_) {
-        if (v > value)
-            break;
-        acc += t;
-    }
+    timeAt_.forEach([&acc, value](std::int64_t v, sim::TimeUs t) {
+        if (v <= value)
+            acc += t;
+    });
     return static_cast<double>(acc) / static_cast<double>(total_);
 }
 
@@ -30,8 +44,10 @@ TimeWeightedHistogram::mean() const
 {
     if (total_ == 0)
         return 0.0;
+    // Floating-point sums are not: add in ascending value order so
+    // the result does not depend on insertion history.
     double acc = 0.0;
-    for (const auto& [v, t] : timeAt_)
+    for (const auto& [v, t] : sorted())
         acc += static_cast<double>(v) * static_cast<double>(t);
     return acc / static_cast<double>(total_);
 }
@@ -44,10 +60,11 @@ TimeWeightedHistogram::cdf() const
     // total, whatever invariants the map happens to satisfy.
     if (total_ == 0)
         return {};
+    const auto steps = sorted();
     std::vector<std::pair<std::int64_t, double>> out;
-    out.reserve(timeAt_.size());
+    out.reserve(steps.size());
     sim::TimeUs acc = 0;
-    for (const auto& [v, t] : timeAt_) {
+    for (const auto& [v, t] : steps) {
         acc += t;
         out.emplace_back(v, static_cast<double>(acc) / static_cast<double>(total_));
     }
@@ -57,8 +74,8 @@ TimeWeightedHistogram::cdf() const
 void
 TimeWeightedHistogram::merge(const TimeWeightedHistogram& other)
 {
-    for (const auto& [v, t] : other.timeAt_)
-        timeAt_[v] += t;
+    other.timeAt_.forEach(
+        [this](std::int64_t v, sim::TimeUs t) { timeAt_[v] += t; });
     total_ += other.total_;
 }
 

@@ -2,9 +2,10 @@
 #define SPLITWISE_METRICS_TIME_WEIGHTED_H_
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
+#include "sim/flat_map.h"
 #include "sim/time.h"
 
 namespace splitwise::metrics {
@@ -16,6 +17,10 @@ namespace splitwise::metrics {
  * tokens on a machine) spent at each value, and answers CDF queries
  * of the form "fraction of time spent at value <= x". This is the
  * statistic behind the paper's Figures 4 and 17.
+ *
+ * record() and merge() are O(1) per value (a flat hash map). The
+ * queries walk every distinct value - cdf() and mean() also sort
+ * them - so they belong after a run, not on a per-event path.
  */
 class TimeWeightedHistogram {
   public:
@@ -48,7 +53,10 @@ class TimeWeightedHistogram {
     void clear();
 
   private:
-    std::map<std::int64_t, sim::TimeUs> timeAt_;
+    /** (value, time) pairs in ascending value order. */
+    std::vector<std::pair<std::int64_t, sim::TimeUs>> sorted() const;
+
+    sim::FlatMap<std::int64_t, sim::TimeUs> timeAt_;
     sim::TimeUs total_ = 0;
 };
 

@@ -8,16 +8,17 @@
 
 #include "core/cluster.h"
 #include "core/designs.h"
+#include "engine/block_manager.h"
 #include "model/llm_config.h"
 
 namespace splitwise::core {
 namespace {
 
 /**
- * Global allocation counter for the zero-allocation routing
- * assertion. Defined in this TU (its own test binary), so it observes
- * every operator new - including any the CLS or the machines it
- * routes to would perform.
+ * Global allocation counter for the zero-allocation routing and
+ * block-table assertions. Defined in this TU (its own test binary),
+ * so it observes every operator new - including any the CLS, the
+ * machines it routes to, or their block managers would perform.
  */
 std::uint64_t g_allocations = 0;
 
@@ -108,6 +109,46 @@ TEST(ClsAllocTest, RandomRoutingAtFleetScaleAllocatesNothing)
         << "steady-state routing allocated on the heap";
     EXPECT_EQ(cls.mixedPoolRoutes(), 0u);
     EXPECT_EQ(cls.integrityError(), "");
+}
+
+TEST(ClsAllocTest, BlockTableCyclesAllocateNothing)
+{
+    // A machine's block table admits and retires one entry per
+    // request and is probed once per decode token. Once it has held
+    // its high-water count of residents, request churn must recycle
+    // table slots - ever-new request ids included - without touching
+    // the heap.
+    constexpr std::uint64_t kResidents = 200;
+    constexpr std::uint64_t kWarmup = 2000;
+    constexpr std::uint64_t kMeasured = 20000;
+    constexpr std::int64_t kDecodeSteps = 8;
+    engine::BlockManager blocks(std::int64_t{1} << 22, 16);
+    int failures = 0;
+    std::uint64_t next = 0;
+    const auto cycle = [&] {
+        const std::uint64_t id = next++;
+        const auto prompt = static_cast<std::int64_t>(100 + id % 700);
+        failures += blocks.allocate(id, prompt) ? 0 : 1;
+        for (std::int64_t t = 1; t <= kDecodeSteps; ++t) {
+            failures += blocks.canExtend(id, prompt + t) ? 0 : 1;
+            failures += blocks.extend(id, prompt + t) ? 0 : 1;
+        }
+        if (id >= kResidents)
+            blocks.release(id - kResidents);
+    };
+    for (std::uint64_t i = 0; i < kWarmup; ++i)
+        cycle();
+
+    const std::uint64_t before = g_allocations;
+    for (std::uint64_t i = 0; i < kMeasured; ++i)
+        cycle();
+    const std::uint64_t after = g_allocations;
+
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state block-table churn allocated on the heap";
+    EXPECT_EQ(failures, 0);
+    EXPECT_EQ(blocks.residents(), kResidents);
+    EXPECT_EQ(blocks.audit(), "");
 }
 
 }  // namespace

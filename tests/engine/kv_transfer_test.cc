@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/machine_spec.h"
@@ -161,9 +162,48 @@ TEST_F(KvTransferTest, InterferenceOnlyForLayerwise)
 
 TEST_F(KvTransferTest, InterferenceZeroForUnknownDestination)
 {
+    // Per-machine state is indexed by id: a request not yet routed
+    // (-1), ids past the table and an unregistered id inside it (the
+    // gap left by registering id 3) all read as "no destination".
+    Machine::Callbacks cb;
+    Machine sparse(sim_, 3, hw::dgxH100(), perf_, memory_, MlsConfig{}, cb);
+    engine_.registerMachine(&sparse);
     LiveRequest* req = makeRequest(4096, 2);
-    req->tokenMachine = 77;  // not registered
-    EXPECT_EQ(engine_.interferenceFor(*machines_[0], req, 1000), 0);
+    const sim::TimeUs compute = perf_.promptTime(4096, 1);
+    for (const int id : {-1, -77, 2, 4, 77, 1 << 30}) {
+        req->tokenMachine = id;
+        EXPECT_EQ(engine_.interferenceFor(*machines_[0], req, compute), 0)
+            << "token machine " << id;
+    }
+    req->tokenMachine = 3;
+    EXPECT_GT(engine_.interferenceFor(*machines_[0], req, compute), 0);
+}
+
+TEST_F(KvTransferTest, RegisterRejectsNegativeAndDuplicateIds)
+{
+    Machine::Callbacks cb;
+    Machine negative(sim_, -1, hw::dgxH100(), perf_, memory_, MlsConfig{},
+                     cb);
+    EXPECT_THROW(engine_.registerMachine(&negative), std::runtime_error);
+    Machine duplicate(sim_, 1, hw::dgxH100(), perf_, memory_, MlsConfig{},
+                      cb);
+    EXPECT_THROW(engine_.registerMachine(&duplicate), std::runtime_error);
+    EXPECT_THROW(engine_.registerMachine(machines_[0].get()),
+                 std::runtime_error);
+    // The rejected registrations left the originals in place.
+    LiveRequest* req = makeRequest(1000, 3);
+    machines_[0]->submitPrompt(req);
+    sim_.run();
+    EXPECT_TRUE(req->finished());
+    EXPECT_EQ(engine_.stats().transfers, 1u);
+}
+
+TEST_F(KvTransferTest, LinkFaultOnUnregisteredMachineIsFatal)
+{
+    EXPECT_THROW(engine_.injectLinkFault(2, 0, 10), std::runtime_error);
+    EXPECT_THROW(engine_.injectLinkFault(-1, 0, 10), std::runtime_error);
+    EXPECT_THROW(engine_.injectLinkDegrade(9, 0, 10, 0.5),
+                 std::runtime_error);
 }
 
 TEST_F(KvTransferTest, NicSerializesConcurrentTransfers)

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.h"
+
 namespace splitwise::metrics {
 namespace {
 
@@ -139,6 +148,74 @@ TEST(TimeWeightedTest, EmptyHistogramCdfIsEmptyAndFinite)
     h.merge(other);
     EXPECT_TRUE(h.cdf().empty());
     EXPECT_EQ(h.totalTime(), 0);
+}
+
+TEST(TimeWeightedProperty, ScrambledRecordsMatchOrderedMapReference)
+{
+    // The histogram stores values in a hash map and sorts on query:
+    // cdf(), cdfAt() and mean() must equal, bit for bit, what an
+    // ordered std::map accumulation gives - whatever order the values
+    // arrive in, extremes and negatives included.
+    const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    sim::Rng rng(97);
+    for (int round = 0; round < 40; ++round) {
+        std::vector<std::int64_t> values = {kMin, kMax, -1, 0, 1, kMin + 1};
+        for (int i = 0; i < 300; ++i)
+            values.push_back(rng.uniformInt(-5000, 5000));
+        std::vector<std::pair<std::int64_t, sim::TimeUs>> records;
+        for (std::int64_t v : values) {
+            for (int r = 0, n = static_cast<int>(rng.uniformInt(1, 3)); r < n;
+                 ++r)
+                records.emplace_back(v, rng.uniformInt(-2, 10000));
+        }
+        std::shuffle(records.begin(), records.end(), rng.engine());
+
+        TimeWeightedHistogram h;
+        TimeWeightedHistogram first_half;
+        TimeWeightedHistogram second_half;
+        std::map<std::int64_t, sim::TimeUs> ref;
+        sim::TimeUs total = 0;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const auto [v, t] = records[i];
+            h.record(v, t);
+            (i % 2 == 0 ? first_half : second_half).record(v, t);
+            if (t > 0) {
+                ref[v] += t;
+                total += t;
+            }
+        }
+        first_half.merge(second_half);
+
+        std::vector<std::pair<std::int64_t, double>> ref_cdf;
+        double ref_mean = 0.0;
+        sim::TimeUs acc = 0;
+        for (const auto& [v, t] : ref) {
+            acc += t;
+            ref_cdf.emplace_back(v, static_cast<double>(acc) /
+                                        static_cast<double>(total));
+            ref_mean += static_cast<double>(v) * static_cast<double>(t);
+        }
+        ref_mean /= static_cast<double>(total);
+
+        for (const TimeWeightedHistogram* hist : {&h, &first_half}) {
+            ASSERT_EQ(hist->totalTime(), total) << "round " << round;
+            ASSERT_EQ(hist->cdf(), ref_cdf) << "round " << round;
+            ASSERT_EQ(hist->mean(), ref_mean) << "round " << round;
+            for (const std::int64_t q :
+                 {kMin, kMin + 1, std::int64_t{-5001}, std::int64_t{-1},
+                  std::int64_t{0}, std::int64_t{42}, kMax - 1, kMax}) {
+                sim::TimeUs below = 0;
+                for (const auto& [v, t] : ref) {
+                    if (v <= q)
+                        below += t;
+                }
+                ASSERT_EQ(hist->cdfAt(q), static_cast<double>(below) /
+                                               static_cast<double>(total))
+                    << "round " << round << " q " << q;
+            }
+        }
+    }
 }
 
 }  // namespace
