@@ -70,7 +70,7 @@ Autoscaler::tick()
 }
 
 bool
-Autoscaler::drained(const engine::Machine& m) const
+Autoscaler::drained(const engine::Machine& m)
 {
     if (m.busy() || m.mls().hasWork() || m.mls().blocks().residents() > 0)
         return false;
@@ -78,22 +78,30 @@ Autoscaler::drained(const engine::Machine& m) const
     // pre-retire routing decision) could try to reserve KV here
     // later; a parked machine rejects the reservation and never
     // fires onMemoryFreed, deadlocking the request. Hold the park
-    // until nothing in the simulation references the machine.
-    const int id = m.id();
-    bool referenced = false;
-    cluster_.requestPool().forEachLive([&](const engine::LiveRequest& req) {
-        if (req.terminal())
-            return;
-        if (req.promptMachine == id || req.tokenMachine == id)
-            referenced = true;
-    });
-    return !referenced;
+    // until nothing in the simulation references the machine. One
+    // walk per tick serves every pending drain: parking or
+    // restoring a machine moves no request.
+    if (!referencedValid_) {
+        referenced_.assign(cluster_.machines().size(), 0);
+        cluster_.requestPool().forEachLive(
+            [&](const engine::LiveRequest& req) {
+                if (req.terminal())
+                    return;
+                for (const int id : {req.promptMachine, req.tokenMachine}) {
+                    if (id >= 0)
+                        referenced_[static_cast<std::size_t>(id)] = 1;
+                }
+            });
+        referencedValid_ = true;
+    }
+    return referenced_[static_cast<std::size_t>(m.id())] == 0;
 }
 
 void
 Autoscaler::completeDrains()
 {
     core::ClusterScheduler& cls = cluster_.scheduler();
+    referencedValid_ = false;
     for (auto it = pendingDrains_.begin(); it != pendingDrains_.end();) {
         const int id = it->first;
         engine::Machine* m = cluster_.machines()[static_cast<std::size_t>(id)]

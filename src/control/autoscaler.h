@@ -159,8 +159,11 @@ class Autoscaler {
     /** Park or flex-restore retired machines that finished draining. */
     void completeDrains();
 
-    /** True once nothing in the simulation references the machine. */
-    bool drained(const engine::Machine& m) const;
+    /**
+     * True once nothing in the simulation references the machine.
+     * Walks the live requests at most once per completeDrains().
+     */
+    bool drained(const engine::Machine& m);
 
     void enforcePowerBudget();
     void stepBrownout(const WindowStats& stats);
@@ -191,6 +194,10 @@ class Autoscaler {
 
     /** Retired machines draining toward park or flex. */
     std::unordered_map<int, DrainIntent> pendingDrains_;
+    /** Machine ids a live request names, by id; filled by drained()
+     *  on the first check of each completeDrains() pass. */
+    std::vector<char> referenced_;
+    bool referencedValid_ = false;
     /** Machines whose unpark lead time is running. */
     std::unordered_set<int> pendingUnparks_;
     /** In-flight scale-ups per pool (prompt, token), so one surge

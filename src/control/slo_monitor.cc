@@ -1,27 +1,24 @@
 #include "control/slo_monitor.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "sim/log.h"
 
 namespace splitwise::control {
 
-namespace {
-
-/** Nearest-rank P99 over a scratch vector (empty -> 0). */
 double
-p99(std::vector<double>& values)
+nearestRankP99(std::vector<double>& values)
 {
     if (values.empty())
         return 0.0;
-    std::sort(values.begin(), values.end());
     const std::size_t rank =
         (values.size() * 99 + 99) / 100;  // ceil(n * 0.99)
-    return values[std::min(rank, values.size()) - 1];
+    const auto nth =
+        values.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(rank, values.size()) - 1);
+    std::nth_element(values.begin(), nth, values.end());
+    return *nth;
 }
-
-}  // namespace
 
 SloMonitor::SloMonitor(const model::LlmConfig& llm, sim::TimeUs window_us)
     : checker_(llm), windowUs_(window_us)
@@ -54,17 +51,15 @@ SloMonitor::refresh(const metrics::RequestMetrics& metrics, sim::TimeUs now)
     if (window_.empty())
         return stats;
 
-    std::vector<double> ttft;
-    std::vector<double> tbt;
-    ttft.reserve(window_.size());
-    tbt.reserve(window_.size());
+    ttft_.clear();
+    tbt_.clear();
     for (const auto& s : window_) {
-        ttft.push_back(s.ttftSlowdown);
+        ttft_.push_back(s.ttftSlowdown);
         if (s.tbtSlowdown >= 0.0)
-            tbt.push_back(s.tbtSlowdown);
+            tbt_.push_back(s.tbtSlowdown);
     }
-    stats.ttftP99Slowdown = p99(ttft);
-    stats.tbtP99Slowdown = p99(tbt);
+    stats.ttftP99Slowdown = nearestRankP99(ttft_);
+    stats.tbtP99Slowdown = nearestRankP99(tbt_);
     stats.completionRps =
         static_cast<double>(window_.size()) / sim::usToSeconds(windowUs_);
     return stats;

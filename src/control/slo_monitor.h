@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <vector>
 
 #include "core/slo.h"
 #include "metrics/request_metrics.h"
@@ -26,6 +27,13 @@ struct WindowStats {
     /** Completion rate over the window, requests/s. */
     double completionRps = 0.0;
 };
+
+/**
+ * Nearest-rank P99 of @p values: the element of rank ceil(0.99 n) in
+ * ascending order, found by selection in linear time. Reorders
+ * @p values; 0 when empty.
+ */
+double nearestRankP99(std::vector<double>& values);
 
 /**
  * Tracks per-request SLO slowdowns over a sliding time window.
@@ -60,6 +68,9 @@ class SloMonitor {
     sim::TimeUs windowUs_;
     std::size_t cursor_ = 0;
     std::deque<Sample> window_;
+    /** Per-refresh selection scratch, capacity reused across ticks. */
+    std::vector<double> ttft_;
+    std::vector<double> tbt_;
 };
 
 }  // namespace splitwise::control

@@ -440,7 +440,7 @@ Machine::completeIteration(const BatchPlan& plan, sim::TimeUs duration)
 
     bool freed = false;
     for (auto* req : plan.decodes) {
-        req->recordToken(now);
+        mls_.recordDecodeToken(req, now);
         ++stats_.tokensGenerated;
         if (onToken_)
             onToken_(req);
@@ -458,15 +458,10 @@ Machine::completeIteration(const BatchPlan& plan, sim::TimeUs duration)
 
     for (auto* req : plan.prompts) {
         stats_.promptTokensProcessed += req->chunkTokens;
-        req->promptProcessed += req->chunkTokens;
-        req->chunkTokens = 0;
         // The first token appears only once every prompt chunk has
         // been computed (chunked prefill spreads a prompt over
         // several iterations).
-        const std::int64_t work = req->generated > 0
-                                      ? req->contextTokens()
-                                      : req->spec.promptTokens;
-        if (req->promptProcessed < work)
+        if (!mls_.completeChunk(req))
             continue;
         if (callbacks_.onPrefillComplete)
             callbacks_.onPrefillComplete(*this, req);

@@ -76,6 +76,8 @@ Mls::enqueuePrompt(LiveRequest* request)
     }
     request->phase = RequestPhase::kPromptQueued;
     promptQueue_.push_back(request);
+    pendingPromptTokens_ +=
+        promptWorkTokens(request) - request->promptProcessed;
 }
 
 void
@@ -95,6 +97,7 @@ Mls::addResident(LiveRequest* request)
     request->phase = RequestPhase::kDecoding;
     request->starvedIterations = 0;
     residents_.push_back(request);
+    residentContextTokens_ += request->contextTokens();
 }
 
 void
@@ -103,8 +106,10 @@ Mls::finish(LiveRequest* request)
     blocks_.release(request->spec.id);
     const auto it =
         std::find(residents_.begin(), residents_.end(), request);
-    if (it != residents_.end())
+    if (it != residents_.end()) {
         residents_.erase(it);
+        residentContextTokens_ -= request->contextTokens();
+    }
     requestLevelBatch_.erase(request);
 }
 
@@ -118,6 +123,8 @@ Mls::clearAll()
     promptQueue_.clear();
     residents_.clear();
     requestLevelBatch_.clear();
+    pendingPromptTokens_ = 0;
+    residentContextTokens_ = 0;
     // Allocations held by in-flight iterations or inbound-transfer
     // reservations are swept too, along with every cached shared
     // prefix: the machine's memory is gone. Lifetime cache counters
@@ -125,22 +132,46 @@ Mls::clearAll()
     blocks_.reset();
 }
 
-std::int64_t
-Mls::pendingPromptTokens() const
+void
+Mls::recordDecodeToken(LiveRequest* request, sim::TimeUs now)
 {
-    std::int64_t total = 0;
-    for (const auto* r : promptQueue_)
-        total += promptWorkTokens(r) - r->promptProcessed;
-    return total;
+    request->recordToken(now);
+    ++residentContextTokens_;
 }
 
-std::int64_t
-Mls::residentContextTokens() const
+bool
+Mls::completeChunk(LiveRequest* request)
 {
-    std::int64_t total = 0;
+    request->promptProcessed += request->chunkTokens;
+    const bool done = request->promptProcessed >= promptWorkTokens(request);
+    // A partial chunk left its request at the queue head
+    // (admitPrompts), so the queue's pending work shrinks by it.
+    if (!done)
+        pendingPromptTokens_ -= request->chunkTokens;
+    request->chunkTokens = 0;
+    return done;
+}
+
+std::string
+Mls::integrityError() const
+{
+    std::int64_t pending = 0;
+    for (const auto* r : promptQueue_)
+        pending += promptWorkTokens(r) - r->promptProcessed;
+    std::int64_t context = 0;
     for (const auto* r : residents_)
-        total += r->contextTokens();
-    return total;
+        context += r->contextTokens();
+    if (pending != pendingPromptTokens_) {
+        return "pending prompt tokens " +
+               std::to_string(pendingPromptTokens_) + ", queue walk " +
+               std::to_string(pending);
+    }
+    if (context != residentContextTokens_) {
+        return "resident context tokens " +
+               std::to_string(residentContextTokens_) + ", resident walk " +
+               std::to_string(context);
+    }
+    return {};
 }
 
 bool
@@ -205,6 +236,7 @@ Mls::admitPrompts(BatchPlan& plan, std::int64_t token_budget, int slot_budget,
             break;
         }
         promptQueue_.pop_front();
+        pendingPromptTokens_ -= remaining;
     }
 }
 
@@ -235,6 +267,7 @@ Mls::preemptForMemory()
     // recompute placement at the queue front bound starvation.
     LiveRequest* victim = residents_.back();
     residents_.pop_back();
+    residentContextTokens_ -= victim->contextTokens();
     blocks_.release(victim->spec.id);
     ++victim->preemptions;
     ++preemptions_;
@@ -244,6 +277,7 @@ Mls::preemptForMemory()
     // the full context as a plain prefill.
     victim->cachedPrefixTokens = 0;
     promptQueue_.push_front(victim);
+    pendingPromptTokens_ += promptWorkTokens(victim);
     if (onPreempt_)
         onPreempt_(victim);
     return true;

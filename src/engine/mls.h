@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -143,8 +144,12 @@ class Mls {
     BlockManager& blocks() { return blocks_; }
     const BlockManager& blocks() const { return blocks_; }
 
-    /** Pending prompt work in tokens (the CLS's JSQ signal). */
-    std::int64_t pendingPromptTokens() const;
+    /**
+     * Pending prompt work in tokens (the CLS's JSQ signal): each
+     * queued request's prompt work minus what earlier chunks already
+     * computed. A running sum, O(1).
+     */
+    std::int64_t pendingPromptTokens() const { return pendingPromptTokens_; }
 
     /** Number of queued prompt requests. */
     std::size_t pendingPrompts() const { return promptQueue_.size(); }
@@ -158,8 +163,34 @@ class Mls {
     /** True when @p request is in the resident decode set. */
     bool resident(const LiveRequest* request) const;
 
-    /** Total KV context tokens across residents. */
-    std::int64_t residentContextTokens() const;
+    /** Total KV context tokens across residents. A running sum, O(1). */
+    std::int64_t residentContextTokens() const
+    {
+        return residentContextTokens_;
+    }
+
+    /**
+     * Account the token a resident decode produced at @p now (the
+     * resident's context grows by one).
+     */
+    void recordDecodeToken(LiveRequest* request, sim::TimeUs now);
+
+    /**
+     * Credit @p request's finished prompt chunk (its chunkTokens) to
+     * its computed prefix.
+     *
+     * @return true when the whole prompt is now computed; false when
+     *     the request stays queued for its next chunk.
+     */
+    bool completeChunk(LiveRequest* request);
+
+    /**
+     * Check both running sums against a fresh walk of the queue and
+     * the resident set (the DST load-signals invariant).
+     *
+     * @return Empty string when consistent, else what differs.
+     */
+    std::string integrityError() const;
 
     /** True when any work (prompt or decode) is pending. */
     bool hasWork() const;
@@ -222,6 +253,11 @@ class Mls {
     /** Members of the in-flight request-level batch. */
     std::unordered_set<LiveRequest*> requestLevelBatch_;
     std::uint64_t preemptions_ = 0;
+    /** Running sums behind pendingPromptTokens() and
+     *  residentContextTokens(), kept at every queue and resident
+     *  mutation. */
+    std::int64_t pendingPromptTokens_ = 0;
+    std::int64_t residentContextTokens_ = 0;
     std::function<void(LiveRequest*)> onPreempt_;
 };
 

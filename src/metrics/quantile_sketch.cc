@@ -25,6 +25,24 @@ double QuantileSketch::valueOf(std::int32_t index) const {
     return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
 }
 
+void QuantileSketch::cover(std::int32_t lo, std::int32_t hi) {
+    if (counts_.empty()) {
+        offset_ = lo;
+        counts_.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+        return;
+    }
+    const std::int32_t top =
+        offset_ + static_cast<std::int32_t>(counts_.size()) - 1;
+    if (hi > top) {
+        counts_.resize(counts_.size() + static_cast<std::size_t>(hi - top));
+    }
+    if (lo < offset_) {
+        counts_.insert(counts_.begin(),
+                       static_cast<std::size_t>(offset_ - lo), 0);
+        offset_ = lo;
+    }
+}
+
 void QuantileSketch::add(double value) {
     if (count_ == 0) {
         min_ = value;
@@ -38,7 +56,9 @@ void QuantileSketch::add(double value) {
     if (value <= 0.0) {
         ++zeroCount_;
     } else {
-        ++buckets_[indexOf(value)];
+        const std::int32_t index = indexOf(value);
+        cover(index, index);
+        ++counts_[static_cast<std::size_t>(index - offset_)];
     }
 }
 
@@ -57,8 +77,12 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     count_ += other.count_;
     sum_ += other.sum_;
     zeroCount_ += other.zeroCount_;
-    for (const auto& [index, n] : other.buckets_) {
-        buckets_[index] += n;
+    if (other.counts_.empty()) return;
+    cover(other.offset_,
+          other.offset_ + static_cast<std::int32_t>(other.counts_.size()) - 1);
+    const auto shift = static_cast<std::size_t>(other.offset_ - offset_);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+        counts_[shift + i] += other.counts_[i];
     }
 }
 
@@ -85,10 +109,10 @@ double QuantileSketch::percentile(double p) const {
     std::uint64_t seen = zeroCount_;
     double estimate = 0.0;
     if (rank >= static_cast<double>(seen)) {
-        for (const auto& [index, n] : buckets_) {
-            seen += n;
+        for (std::size_t i = 0; i < counts_.size(); ++i) {
+            seen += counts_[i];
             if (rank < static_cast<double>(seen)) {
-                estimate = valueOf(index);
+                estimate = valueOf(offset_ + static_cast<std::int32_t>(i));
                 break;
             }
         }
@@ -97,8 +121,15 @@ double QuantileSketch::percentile(double p) const {
     return std::clamp(estimate, min_, max_);
 }
 
+std::size_t QuantileSketch::bucketCount() const {
+    return static_cast<std::size_t>(
+        std::count_if(counts_.begin(), counts_.end(),
+                      [](std::uint64_t n) { return n != 0; }));
+}
+
 void QuantileSketch::clear() {
-    buckets_.clear();
+    counts_ = {};
+    offset_ = 0;
     zeroCount_ = 0;
     count_ = 0;
     sum_ = 0.0;

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 namespace splitwise::metrics {
 
@@ -77,8 +77,8 @@ class QuantileSketch {
     /** Configured relative-error bound. */
     double alpha() const { return alpha_; }
 
-    /** Occupied bucket count - the sketch's actual memory footprint. */
-    std::size_t bucketCount() const { return buckets_.size(); }
+    /** Occupied (non-empty) bucket count. */
+    std::size_t bucketCount() const;
 
   private:
     /** Bucket index of a positive value. */
@@ -87,12 +87,19 @@ class QuantileSketch {
     /** Representative value of a bucket (geometric midpoint). */
     double valueOf(std::int32_t index) const;
 
+    /** Widen the dense store so it covers [lo, hi]. */
+    void cover(std::int32_t lo, std::int32_t hi);
+
     double alpha_;
     double gamma_;
     double logGamma_;
-    /** Occupied log-spaced buckets, ordered by index for the
-     *  deterministic cumulative walk percentile() does. */
-    std::map<std::int32_t, std::uint64_t> buckets_;
+    /**
+     * DDSketch's dense store: counts_[i] holds bucket offset_ + i, so
+     * the log-spaced buckets sit in index order for the cumulative
+     * walk percentile() does. Empty until the first positive sample.
+     */
+    std::vector<std::uint64_t> counts_;
+    std::int32_t offset_ = 0;
     /** Samples <= 0 (latencies can legitimately be zero). */
     std::uint64_t zeroCount_ = 0;
     std::uint64_t count_ = 0;

@@ -37,18 +37,13 @@ EventQueue::post(TimeUs time, EventAction action, int priority)
         slot = free_.back();
         free_.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(records_.size());
-        records_.emplace_back();
+        slot = static_cast<std::uint32_t>(actions_.size());
+        actions_.emplace_back();
         ++poolGrowths_;
     }
+    actions_[slot] = std::move(action);
 
-    Record& r = records_[slot];
-    r.time = time;
-    r.priority = priority;
-    r.seq = nextSeq_++;
-    r.action = std::move(action);
-
-    heap_.push_back(slot);
+    heap_.push_back({time, nextSeq_++, priority, slot});
     siftUp(static_cast<std::uint32_t>(heap_.size()) - 1);
     ++scheduled_;
 }
@@ -56,7 +51,7 @@ EventQueue::post(TimeUs time, EventAction action, int priority)
 TimeUs
 EventQueue::nextTime() const
 {
-    return heap_.empty() ? kTimeNever : records_[heap_.front()].time;
+    return heap_.empty() ? kTimeNever : heap_.front().time;
 }
 
 Event
@@ -64,13 +59,12 @@ EventQueue::pop()
 {
     if (heap_.empty())
         panic("EventQueue::pop on empty queue");
-    const std::uint32_t slot = heap_.front();
-    Record& r = records_[slot];
+    const Node top = heap_.front();
 
     // Moving the action out leaves the record empty, so the slot is
     // recycled before the callback runs and can post into it at once.
-    Event ev{r.time, r.priority, std::move(r.action)};
-    free_.push_back(slot);
+    Event ev{top.time, top.priority, std::move(actions_[top.slot])};
+    free_.push_back(top.slot);
 
     heap_.front() = heap_.back();
     heap_.pop_back();
@@ -81,15 +75,15 @@ EventQueue::pop()
 void
 EventQueue::siftUp(std::uint32_t pos)
 {
-    const std::uint32_t slot = heap_[pos];
+    const Node node = heap_[pos];
     while (pos > 0) {
         const std::uint32_t parent = parentOf(pos);
-        if (!before(slot, heap_[parent]))
+        if (!before(node, heap_[parent]))
             break;
         heap_[pos] = heap_[parent];
         pos = parent;
     }
-    heap_[pos] = slot;
+    heap_[pos] = node;
 }
 
 void
@@ -98,7 +92,7 @@ EventQueue::siftDown(std::uint32_t pos)
     const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
     if (n == 0)
         return;
-    const std::uint32_t slot = heap_[pos];
+    const Node node = heap_[pos];
     while (true) {
         const std::uint32_t first = firstChildOf(pos);
         if (first >= n)
@@ -109,12 +103,12 @@ EventQueue::siftDown(std::uint32_t pos)
             if (before(heap_[c], heap_[best]))
                 best = c;
         }
-        if (!before(heap_[best], slot))
+        if (!before(heap_[best], node))
             break;
         heap_[pos] = heap_[best];
         pos = best;
     }
-    heap_[pos] = slot;
+    heap_[pos] = node;
 }
 
 void
@@ -122,36 +116,36 @@ EventQueue::reserve(std::size_t events)
 {
     heap_.reserve(events);
     free_.reserve(events);
-    while (records_.size() < events) {
-        records_.emplace_back();
-        free_.push_back(static_cast<std::uint32_t>(records_.size() - 1));
+    while (actions_.size() < events) {
+        actions_.emplace_back();
+        free_.push_back(static_cast<std::uint32_t>(actions_.size() - 1));
     }
 }
 
 std::string
 EventQueue::integrityError() const
 {
-    if (heap_.size() + free_.size() != records_.size()) {
+    if (heap_.size() + free_.size() != actions_.size()) {
         return "slot accounting broken: " + std::to_string(heap_.size()) +
                " in heap + " + std::to_string(free_.size()) + " free != " +
-               std::to_string(records_.size()) + " pooled";
+               std::to_string(actions_.size()) + " pooled";
     }
     for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
-        const std::uint32_t slot = heap_[pos];
-        if (slot >= records_.size())
+        const std::uint32_t slot = heap_[pos].slot;
+        if (slot >= actions_.size())
             return "heap entry " + std::to_string(pos) + " out of pool";
-        if (!records_[slot].action)
+        if (!actions_[slot])
             return "pending slot " + std::to_string(slot) +
                    " holds no action";
-        if (pos > 0 && before(slot, heap_[parentOf(pos)])) {
+        if (pos > 0 && before(heap_[pos], heap_[parentOf(pos)])) {
             return "heap property violated at position " +
                    std::to_string(pos);
         }
     }
     for (const std::uint32_t slot : free_) {
-        if (slot >= records_.size())
+        if (slot >= actions_.size())
             return "free-list entry out of pool";
-        if (records_[slot].action)
+        if (actions_[slot])
             return "free slot " + std::to_string(slot) +
                    " still holds an action";
     }

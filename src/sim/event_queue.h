@@ -7,12 +7,16 @@
  *
  * Design (see DESIGN.md "Event engine"):
  *
- *  - A 4-ary min-heap of slot indices into a pooled record array.
- *    The queue supports exactly two operations, post and pop: pop
- *    moves the last heap entry to the root and sifts it down.
- *  - Records come from a LIFO free list and are recycled after they
- *    fire, so the steady-state post/pop loop allocates nothing once
- *    the pool reaches its high-water mark.
+ *  - A 4-ary min-heap of keyed nodes: each node holds the event's
+ *    (time, priority, seq) key inline plus the pool slot of its
+ *    action, so sifting compares within one contiguous array and
+ *    never touches the pooled actions. The queue supports exactly
+ *    two operations, post and pop: pop moves the last node to the
+ *    root and sifts it down.
+ *  - Actions live in a pooled record array; records come from a LIFO
+ *    free list and are recycled after they fire, so the steady-state
+ *    post/pop loop allocates nothing once the pool reaches its
+ *    high-water mark.
  *  - Actions are EventAction (small-buffer-optimized); the common
  *    capture shapes in machine.cc / kv_transfer.cc / cluster.cc stay
  *    inline.
@@ -95,7 +99,7 @@ class EventQueue {
     MemoryStats
     memoryStats() const
     {
-        return {records_.size(), free_.size(), poolGrowths_};
+        return {actions_.size(), free_.size(), poolGrowths_};
     }
 
     /**
@@ -106,8 +110,9 @@ class EventQueue {
 
     /**
      * Structural self-check for the DST invariant hook: verifies the
-     * heap property, that heap plus free slots account for the whole
-     * pool, and that exactly the pending slots hold an action.
+     * heap property over the nodes, that heap plus free slots account
+     * for the whole pool, and that exactly the pending slots hold an
+     * action.
      *
      * @return Empty string when consistent, else a description of
      *     the first inconsistency found.
@@ -115,34 +120,34 @@ class EventQueue {
     std::string integrityError() const;
 
   private:
-    struct Record {
+    /** One pending event in the heap: its ordering key and slot. */
+    struct Node {
         TimeUs time = 0;
         /** Insertion sequence: the final deterministic tie-break. */
         std::uint64_t seq = 0;
         int priority = 0;
-        EventAction action;
+        /** Pool record holding the event's action. */
+        std::uint32_t slot = 0;
     };
 
-    /** True when the record at slot @p a orders before slot @p b. */
-    bool
-    before(std::uint32_t a, std::uint32_t b) const
+    /** True when node @p a orders before node @p b. */
+    static bool
+    before(const Node& a, const Node& b)
     {
-        const Record& ra = records_[a];
-        const Record& rb = records_[b];
-        if (ra.time != rb.time)
-            return ra.time < rb.time;
-        if (ra.priority != rb.priority)
-            return ra.priority < rb.priority;
-        return ra.seq < rb.seq;
+        if (a.time != b.time)
+            return a.time < b.time;
+        if (a.priority != b.priority)
+            return a.priority < b.priority;
+        return a.seq < b.seq;
     }
 
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
 
-    /** Event records, indexed by slot; grows only at high-water. */
-    std::vector<Record> records_;
-    /** 4-ary min-heap of slot indices. */
-    std::vector<std::uint32_t> heap_;
+    /** Pending actions, indexed by slot; grows only at high-water. */
+    std::vector<EventAction> actions_;
+    /** 4-ary min-heap of keyed nodes. */
+    std::vector<Node> heap_;
     /** Recycled slots (LIFO keeps the hot slots cache-warm). */
     std::vector<std::uint32_t> free_;
     std::uint64_t nextSeq_ = 0;

@@ -126,6 +126,7 @@ InvariantChecker::checkNow()
     checkRequests();
     // Before machine-pool: its pool-size cross-check reads the cache.
     checkClsMembership();
+    checkLoadSignals();
     checkMachines();
     if (controller_)
         checkController();
@@ -570,6 +571,22 @@ InvariantChecker::checkClsMembership()
     const std::string err = cluster_.scheduler().integrityError();
     if (!err.empty())
         violate("cls-membership", err);
+}
+
+void
+InvariantChecker::checkLoadSignals()
+{
+    // JSQ routing and admission shedding read each machine's queued
+    // prompt work as a running sum kept at every queue and resident
+    // mutation; a missed update skews routing without crashing.
+    // Compare each sum with a fresh walk.
+    for (const auto& m : cluster_.machines()) {
+        const std::string err = m->mls().integrityError();
+        if (!err.empty()) {
+            violate("load-signals",
+                    "machine " + std::to_string(m->id()) + ": " + err);
+        }
+    }
 }
 
 void

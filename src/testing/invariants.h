@@ -141,6 +141,8 @@ class InvariantChecker {
     void checkEventQueue();
     /** Routable-member cache vs a fresh walk (cls-membership). */
     void checkClsMembership();
+    /** MLS running load sums vs a fresh walk (load-signals). */
+    void checkLoadSignals();
 
     core::Cluster& cluster_;
     InvariantOptions options_;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -170,6 +172,119 @@ TEST(QuantileSketchTest, MergeIsOrderIndependent)
     EXPECT_NEAR(forward.sum() / backward.sum(), 1.0, 1e-12);
     EXPECT_NEAR(forward.sum() / whole.sum(), 1.0, 1e-12);
     EXPECT_EQ(forward.bucketCount(), whole.bucketCount());
+}
+
+/**
+ * The sparse bucket store the dense array replaced: a std::map keyed
+ * by the same log index, walked in key order. The dense store must
+ * reproduce its percentiles bit for bit.
+ */
+class MapSketch {
+  public:
+    void
+    add(double v)
+    {
+        ++count_;
+        min_ = count_ == 1 ? v : std::min(min_, v);
+        max_ = count_ == 1 ? v : std::max(max_, v);
+        if (v <= 0.0)
+            ++zeros_;
+        else
+            ++buckets_[static_cast<std::int32_t>(
+                std::ceil(std::log(v) / logGamma_))];
+    }
+
+    void
+    merge(const MapSketch& other)
+    {
+        for (const auto& [index, n] : other.buckets_)
+            buckets_[index] += n;
+        zeros_ += other.zeros_;
+        if (other.count_ > 0) {
+            min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+            max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+        }
+        count_ += other.count_;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (count_ == 0)
+            return 0.0;
+        const double rank = p / 100.0 * static_cast<double>(count_ - 1);
+        if (rank <= 0.0)
+            return min_;
+        if (rank >= static_cast<double>(count_ - 1))
+            return max_;
+        std::uint64_t seen = zeros_;
+        double estimate = 0.0;
+        if (rank >= static_cast<double>(seen)) {
+            for (const auto& [index, n] : buckets_) {
+                seen += n;
+                if (rank < static_cast<double>(seen)) {
+                    estimate = 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
+                    break;
+                }
+            }
+            if (rank >= static_cast<double>(seen))
+                estimate = max_;
+        }
+        return std::clamp(estimate, min_, max_);
+    }
+
+    std::size_t bucketCount() const { return buckets_.size(); }
+
+  private:
+    double gamma_ = (1.0 + 0.005) / (1.0 - 0.005);
+    double logGamma_ = std::log(gamma_);
+    std::map<std::int32_t, std::uint64_t> buckets_;
+    std::uint64_t zeros_ = 0;
+    std::uint64_t count_ = 0;
+    double min_ = 0.0;
+    double max_ = 0.0;
+};
+
+TEST(QuantileSketchProperty, DenseStoreMatchesMapReference)
+{
+    // Random streams over many decades - rising, falling (each new
+    // minimum widens the store downward) and mixed with zeros - split
+    // over shards merged in a shuffled order.
+    std::mt19937_64 rng(2019);
+    std::uniform_real_distribution<double> exponent(-4.0, 6.0);
+    for (int trial = 0; trial < 40; ++trial) {
+        const int shards = 1 + trial % 5;
+        std::vector<QuantileSketch> dense(static_cast<std::size_t>(shards));
+        std::vector<MapSketch> ref(static_cast<std::size_t>(shards));
+        const int n = 1 + static_cast<int>(rng() % 3000);
+        for (int i = 0; i < n; ++i) {
+            double v = std::pow(10.0, exponent(rng));
+            if (trial % 3 == 1)
+                v = 1e6 / (1.0 + i);
+            if (rng() % 50 == 0)
+                v = 0.0;
+            const auto shard = rng() % static_cast<std::uint64_t>(shards);
+            dense[shard].add(v);
+            ref[shard].add(v);
+        }
+        QuantileSketch merged;
+        MapSketch merged_ref;
+        std::vector<int> order(static_cast<std::size_t>(shards));
+        for (int i = 0; i < shards; ++i)
+            order[static_cast<std::size_t>(i)] = i;
+        std::shuffle(order.begin(), order.end(), rng);
+        for (const int i : order) {
+            merged.merge(dense[static_cast<std::size_t>(i)]);
+            merged_ref.merge(ref[static_cast<std::size_t>(i)]);
+        }
+        for (double p = 0.0; p <= 100.0; p += 0.5) {
+            ASSERT_EQ(merged.percentile(p), merged_ref.percentile(p))
+                << "trial " << trial << " p" << p;
+            ASSERT_EQ(dense[0].percentile(p), ref[0].percentile(p))
+                << "trial " << trial << " p" << p;
+        }
+        EXPECT_EQ(merged.bucketCount(), merged_ref.bucketCount());
+    }
 }
 
 TEST(QuantileSketchTest, MergeRejectsMismatchedAlpha)

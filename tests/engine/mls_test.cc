@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <vector>
 
 namespace splitwise::engine {
@@ -95,15 +96,82 @@ TEST_F(MlsTest, ChunkedPrefillSpreadsPromptAcrossIterations)
         ASSERT_EQ(plan.prompts.size(), 1u);
         ASSERT_EQ(plan.prompts[0], prompt);
         // The machine advances progress at iteration completion.
-        prompt->promptProcessed += prompt->chunkTokens;
         total += prompt->chunkTokens;
-        prompt->chunkTokens = 0;
+        EXPECT_EQ(mls.completeChunk(prompt), iter == 2);
     }
     EXPECT_EQ(total, 1200);
     // Chunks were 512, 512, 176.
     EXPECT_EQ(prompt->promptProcessed, 1200);
     // The request left the queue with its final chunk.
     EXPECT_EQ(mls.pendingPrompts(), 0u);
+}
+
+TEST_F(MlsTest, LoadSignalsFollowChunkProgressAndPreemption)
+{
+    Mls mls(chunkedConfig(512), 100000);
+    LiveRequest* prompt = makeRequest(1200, 10);
+    mls.enqueuePrompt(prompt);
+    LiveRequest* resident = makeResident(mls, 500, 2, 10);
+    EXPECT_EQ(mls.pendingPromptTokens(), 1200);
+    EXPECT_EQ(mls.residentContextTokens(), 502);
+
+    const BatchPlan plan = mls.nextBatch();
+    ASSERT_EQ(plan.decodes.size(), 1u);
+    mls.recordDecodeToken(resident, 10);
+    EXPECT_EQ(mls.residentContextTokens(), 503);
+    EXPECT_FALSE(mls.completeChunk(prompt));
+    EXPECT_EQ(mls.pendingPromptTokens(), 1200 - 512);
+    EXPECT_EQ(mls.integrityError(), "");
+
+    mls.finish(resident);
+    EXPECT_EQ(mls.residentContextTokens(), 0);
+    mls.clearAll();
+    EXPECT_EQ(mls.pendingPromptTokens(), 0);
+    EXPECT_EQ(mls.integrityError(), "");
+}
+
+TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
+{
+    // Drive the MLS the way Machine does - plan, then complete every
+    // chunk and decode token - under KV pressure that forces
+    // preemptions, with recompute and prefix-hit arrivals and
+    // occasional machine failures, checking both running sums
+    // against a fresh walk after every step.
+    for (const std::int64_t chunk : {0, 256}) {
+        Mls mls(chunkedConfig(chunk), 6000);
+        std::mt19937_64 rng(static_cast<std::uint64_t>(chunk) + 5);
+        for (int step = 0; step < 4000; ++step) {
+            const auto roll = rng() % 16;
+            if (roll < 3) {
+                LiveRequest* req = makeRequest(
+                    50 + static_cast<std::int64_t>(rng() % 1500),
+                    1 + static_cast<std::int64_t>(rng() % 400));
+                if (roll == 0)
+                    req->promptProcessed = req->spec.promptTokens / 3;
+                mls.enqueuePrompt(req);
+            } else if (roll == 15 && step % 97 == 0) {
+                mls.clearAll();
+            } else {
+                const BatchPlan plan = mls.nextBatch();
+                for (LiveRequest* req : plan.decodes) {
+                    mls.recordDecodeToken(req, step);
+                    if (req->finished())
+                        mls.finish(req);
+                }
+                for (LiveRequest* req : plan.prompts) {
+                    if (!mls.completeChunk(req))
+                        continue;
+                    req->recordToken(step);
+                    if (req->finished())
+                        mls.blocks().release(req->spec.id);
+                    else
+                        mls.addResident(req);
+                }
+            }
+            ASSERT_EQ(mls.integrityError(), "") << "step " << step;
+        }
+        EXPECT_GT(mls.preemptionCount(), 0u) << "chunk " << chunk;
+    }
 }
 
 TEST_F(MlsTest, NoChunkingWithoutResidents)
