@@ -185,7 +185,10 @@ class Machine {
     /** True while an iteration is in flight. */
     bool busy() const { return busy_; }
 
-    /** JSQ signal: queued prompt tokens plus the running chunk. */
+    /**
+     * JSQ signal: outstanding prompt tokens, each counted once - the
+     * queued work not yet running plus the running batch.
+     */
     std::int64_t promptQueueDepthTokens() const;
 
     /** JSQ signal: KV tokens held or reserved on this machine. */

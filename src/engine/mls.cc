@@ -143,13 +143,8 @@ bool
 Mls::completeChunk(LiveRequest* request)
 {
     request->promptProcessed += request->chunkTokens;
-    const bool done = request->promptProcessed >= promptWorkTokens(request);
-    // A partial chunk left its request at the queue head
-    // (admitPrompts), so the queue's pending work shrinks by it.
-    if (!done)
-        pendingPromptTokens_ -= request->chunkTokens;
     request->chunkTokens = 0;
-    return done;
+    return request->promptProcessed >= promptWorkTokens(request);
 }
 
 std::string
@@ -157,7 +152,7 @@ Mls::integrityError() const
 {
     std::int64_t pending = 0;
     for (const auto* r : promptQueue_)
-        pending += promptWorkTokens(r) - r->promptProcessed;
+        pending += promptWorkTokens(r) - r->promptProcessed - r->chunkTokens;
     std::int64_t context = 0;
     for (const auto* r : residents_)
         context += r->contextTokens();
@@ -230,13 +225,15 @@ Mls::admitPrompts(BatchPlan& plan, std::int64_t token_budget, int slot_budget,
         plan.prompts.push_back(req);
         plan.promptTokens += take;
         budget -= take;
+        // Work in flight leaves the pending sum: the machine counts
+        // the running chunk itself.
+        pendingPromptTokens_ -= take;
         if (take < remaining) {
             // Partial chunk: the request stays at the queue head for
             // its next chunk.
             break;
         }
         promptQueue_.pop_front();
-        pendingPromptTokens_ -= remaining;
     }
 }
 

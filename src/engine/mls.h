@@ -145,9 +145,9 @@ class Mls {
     const BlockManager& blocks() const { return blocks_; }
 
     /**
-     * Pending prompt work in tokens (the CLS's JSQ signal): each
-     * queued request's prompt work minus what earlier chunks already
-     * computed. A running sum, O(1).
+     * Queued prompt work not yet running, in tokens: each queued
+     * request's prompt work minus what earlier chunks computed and
+     * minus a chunk in flight. A running sum, O(1).
      */
     std::int64_t pendingPromptTokens() const { return pendingPromptTokens_; }
 
@@ -177,7 +177,8 @@ class Mls {
 
     /**
      * Credit @p request's finished prompt chunk (its chunkTokens) to
-     * its computed prefix.
+     * its computed prefix. The chunk left pendingPromptTokens() when
+     * it was admitted.
      *
      * @return true when the whole prompt is now computed; false when
      *     the request stays queued for its next chunk.

@@ -165,6 +165,28 @@ TEST_F(MachineTest, QueueDepthIncludesRunningPrompt)
     EXPECT_EQ(m.promptQueueDepthTokens(), 0);
 }
 
+TEST_F(MachineTest, QueueDepthCountsAChunkedHeadOnce)
+{
+    // A resident decode makes the mixed policy chunk the next prompt
+    // into 256-token slices.
+    MlsConfig mls;
+    mls.promptChunkTokens = 256;
+    Machine& m = makeMachine(mls);
+    m.submitPrompt(makeRequest(100, 50));
+    LiveRequest* big = makeRequest(2000, 2);
+    m.submitPrompt(big);
+    // Run until the second chunk is in flight.
+    while (big->promptProcessed < 256)
+        ASSERT_TRUE(sim_.step());
+    ASSERT_TRUE(m.busy());
+    ASSERT_EQ(big->chunkTokens, 256);
+    // 1,744 prompt tokens are outstanding: 256 running, 1,488 queued.
+    EXPECT_EQ(m.promptQueueDepthTokens(), 1744);
+    EXPECT_EQ(m.mls().pendingPromptTokens(), 1488);
+    sim_.run();
+    EXPECT_EQ(m.promptQueueDepthTokens(), 0);
+}
+
 TEST_F(MachineTest, TokenLoadTracksKv)
 {
     Machine& m = makeMachine();

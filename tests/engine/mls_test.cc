@@ -117,6 +117,8 @@ TEST_F(MlsTest, LoadSignalsFollowChunkProgressAndPreemption)
 
     const BatchPlan plan = mls.nextBatch();
     ASSERT_EQ(plan.decodes.size(), 1u);
+    // The admitted chunk is running, no longer pending.
+    EXPECT_EQ(mls.pendingPromptTokens(), 1200 - 512);
     mls.recordDecodeToken(resident, 10);
     EXPECT_EQ(mls.residentContextTokens(), 503);
     EXPECT_FALSE(mls.completeChunk(prompt));
