@@ -132,13 +132,6 @@ Mls::clearAll()
     blocks_.reset();
 }
 
-void
-Mls::recordDecodeToken(LiveRequest* request, sim::TimeUs now)
-{
-    request->recordToken(now);
-    ++residentContextTokens_;
-}
-
 bool
 Mls::completeChunk(LiveRequest* request)
 {

@@ -164,7 +164,8 @@ class Mls {
     bool resident(const LiveRequest* request) const;
 
     /** Total KV context tokens across residents. A running sum, O(1). */
-    std::int64_t residentContextTokens() const
+    std::int64_t
+    residentContextTokens() const
     {
         return residentContextTokens_;
     }
@@ -173,7 +174,12 @@ class Mls {
      * Account the token a resident decode produced at @p now (the
      * resident's context grows by one).
      */
-    void recordDecodeToken(LiveRequest* request, sim::TimeUs now);
+    void
+    recordDecodeToken(LiveRequest* request, sim::TimeUs now)
+    {
+        request->recordToken(now);
+        ++residentContextTokens_;
+    }
 
     /**
      * Credit @p request's finished prompt chunk (its chunkTokens) to
