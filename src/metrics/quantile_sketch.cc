@@ -44,6 +44,11 @@ void QuantileSketch::cover(std::int32_t lo, std::int32_t hi) {
 }
 
 void QuantileSketch::add(double value) {
+    // A non-finite sample has no bucket: the cast in indexOf() would
+    // be undefined, and the dense store would be sized from it.
+    if (!std::isfinite(value)) {
+        sim::fatal("QuantileSketch: non-finite sample");
+    }
     if (count_ == 0) {
         min_ = value;
         max_ = value;

@@ -32,7 +32,10 @@ class QuantileSketch {
     /** @param alpha Relative-error bound; must be in (0, 1). */
     explicit QuantileSketch(double alpha = 0.005);
 
-    /** Add one sample. Non-positive values land in the zero bucket. */
+    /**
+     * Add one sample. Non-positive values land in the zero bucket; a
+     * NaN or infinite sample is fatal.
+     */
     void add(double value);
 
     /** Merge another sketch; alphas must match (fatal otherwise). */

@@ -287,6 +287,19 @@ TEST(QuantileSketchProperty, DenseStoreMatchesMapReference)
     }
 }
 
+TEST(QuantileSketchTest, NonFiniteSamplesAreFatal)
+{
+    QuantileSketch s;
+    s.add(2.0);
+    EXPECT_THROW(s.add(std::numeric_limits<double>::quiet_NaN()),
+                 std::runtime_error);
+    EXPECT_THROW(s.add(std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
+    EXPECT_THROW(s.add(-std::numeric_limits<double>::infinity()),
+                 std::runtime_error);
+    EXPECT_EQ(s.count(), 1u);
+}
+
 TEST(QuantileSketchTest, MergeRejectsMismatchedAlpha)
 {
     QuantileSketch a(0.005);
