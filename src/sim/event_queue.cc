@@ -61,8 +61,8 @@ EventQueue::pop()
         panic("EventQueue::pop on empty queue");
     const Node top = heap_.front();
 
-    // Moving the action out leaves the record empty, so the slot is
-    // recycled before the callback runs and can post into it at once.
+    // Moving the action out empties its slot, which is recycled
+    // before the callback runs, so the callback can post into it.
     Event ev{top.time, top.priority, std::move(actions_[top.slot])};
     free_.push_back(top.slot);
 

@@ -13,10 +13,10 @@
  *    never touches the pooled actions. The queue supports exactly
  *    two operations, post and pop: pop moves the last node to the
  *    root and sifts it down.
- *  - Actions live in a pooled record array; records come from a LIFO
- *    free list and are recycled after they fire, so the steady-state
- *    post/pop loop allocates nothing once the pool reaches its
- *    high-water mark.
+ *  - Actions live in a pooled array indexed by slot; slots come from
+ *    a LIFO free list and are recycled after they fire, so the
+ *    steady-state post/pop loop allocates nothing once the pool
+ *    reaches its high-water mark.
  *  - Actions are EventAction (small-buffer-optimized); the common
  *    capture shapes in machine.cc / kv_transfer.cc / cluster.cc stay
  *    inline.
@@ -126,7 +126,7 @@ class EventQueue {
         /** Insertion sequence: the final deterministic tie-break. */
         std::uint64_t seq = 0;
         int priority = 0;
-        /** Pool record holding the event's action. */
+        /** Pool slot holding the event's action. */
         std::uint32_t slot = 0;
     };
 
