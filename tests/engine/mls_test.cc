@@ -135,13 +135,17 @@ TEST_F(MlsTest, LoadSignalsFollowChunkProgressAndPreemption)
 TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
 {
     // Drive the MLS the way Machine does - plan, then complete every
-    // chunk and decode token - under KV pressure that forces
-    // preemptions, with recompute and prefix-hit arrivals and
-    // occasional machine failures, checking both running sums
-    // against a fresh walk after every step.
-    for (const std::int64_t chunk : {0, 256}) {
-        Mls mls(chunkedConfig(chunk), 6000);
-        std::mt19937_64 rng(static_cast<std::uint64_t>(chunk) + 5);
+    // chunk and decode token - under each batching policy (mixed with
+    // and without chunking, continuous, request-level) and KV
+    // pressure that forces preemptions, with recompute and
+    // prefix-hit arrivals and occasional machine failures, checking
+    // both running sums against a fresh walk after every step.
+    const std::vector<MlsConfig> configs = {
+        chunkedConfig(0), chunkedConfig(256),
+        config(BatchPolicy::kContinuous), config(BatchPolicy::kRequestLevel)};
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        Mls mls(configs[c], 6000);
+        std::mt19937_64 rng(c + 5);
         for (int step = 0; step < 4000; ++step) {
             const auto roll = rng() % 16;
             if (roll < 3) {
@@ -170,9 +174,10 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
                         mls.addResident(req);
                 }
             }
-            ASSERT_EQ(mls.integrityError(), "") << "step " << step;
+            ASSERT_EQ(mls.integrityError(), "")
+                << "config " << c << " step " << step;
         }
-        EXPECT_GT(mls.preemptionCount(), 0u) << "chunk " << chunk;
+        EXPECT_GT(mls.preemptionCount(), 0u) << "config " << c;
     }
 }
 
