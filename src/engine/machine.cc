@@ -440,7 +440,7 @@ Machine::completeIteration(const BatchPlan& plan, sim::TimeUs duration)
 
     bool freed = false;
     for (auto* req : plan.decodes) {
-        mls_.recordDecodeToken(req, now);
+        req->recordToken(now);
         ++stats_.tokensGenerated;
         if (onToken_)
             onToken_(req);

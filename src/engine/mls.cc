@@ -97,7 +97,6 @@ Mls::addResident(LiveRequest* request)
     request->phase = RequestPhase::kDecoding;
     request->starvedIterations = 0;
     residents_.push_back(request);
-    residentContextTokens_ += request->contextTokens();
 }
 
 void
@@ -106,10 +105,8 @@ Mls::finish(LiveRequest* request)
     blocks_.release(request->spec.id);
     const auto it =
         std::find(residents_.begin(), residents_.end(), request);
-    if (it != residents_.end()) {
+    if (it != residents_.end())
         residents_.erase(it);
-        residentContextTokens_ -= request->contextTokens();
-    }
     requestLevelBatch_.erase(request);
 }
 
@@ -124,7 +121,6 @@ Mls::clearAll()
     residents_.clear();
     requestLevelBatch_.clear();
     pendingPromptTokens_ = 0;
-    residentContextTokens_ = 0;
     // Allocations held by in-flight iterations or inbound-transfer
     // reservations are swept too, along with every cached shared
     // prefix: the machine's memory is gone. Lifetime cache counters
@@ -140,24 +136,25 @@ Mls::completeChunk(LiveRequest* request)
     return request->promptProcessed >= promptWorkTokens(request);
 }
 
+std::int64_t
+Mls::residentContextTokens() const
+{
+    std::int64_t total = 0;
+    for (const auto* r : residents_)
+        total += r->contextTokens();
+    return total;
+}
+
 std::string
 Mls::integrityError() const
 {
     std::int64_t pending = 0;
     for (const auto* r : promptQueue_)
         pending += promptWorkTokens(r) - r->promptProcessed - r->chunkTokens;
-    std::int64_t context = 0;
-    for (const auto* r : residents_)
-        context += r->contextTokens();
     if (pending != pendingPromptTokens_) {
         return "pending prompt tokens " +
                std::to_string(pendingPromptTokens_) + ", queue walk " +
                std::to_string(pending);
-    }
-    if (context != residentContextTokens_) {
-        return "resident context tokens " +
-               std::to_string(residentContextTokens_) + ", resident walk " +
-               std::to_string(context);
     }
     return {};
 }
@@ -257,7 +254,6 @@ Mls::preemptForMemory()
     // recompute placement at the queue front bound starvation.
     LiveRequest* victim = residents_.back();
     residents_.pop_back();
-    residentContextTokens_ -= victim->contextTokens();
     blocks_.release(victim->spec.id);
     ++victim->preemptions;
     ++preemptions_;

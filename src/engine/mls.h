@@ -163,23 +163,8 @@ class Mls {
     /** True when @p request is in the resident decode set. */
     bool resident(const LiveRequest* request) const;
 
-    /** Total KV context tokens across residents. A running sum, O(1). */
-    std::int64_t
-    residentContextTokens() const
-    {
-        return residentContextTokens_;
-    }
-
-    /**
-     * Account the token a resident decode produced at @p now (the
-     * resident's context grows by one).
-     */
-    void
-    recordDecodeToken(LiveRequest* request, sim::TimeUs now)
-    {
-        request->recordToken(now);
-        ++residentContextTokens_;
-    }
+    /** Total KV context tokens across residents. */
+    std::int64_t residentContextTokens() const;
 
     /**
      * Credit @p request's finished prompt chunk (its chunkTokens) to
@@ -192,8 +177,8 @@ class Mls {
     bool completeChunk(LiveRequest* request);
 
     /**
-     * Check both running sums against a fresh walk of the queue and
-     * the resident set (the DST load-signals invariant).
+     * Check the pendingPromptTokens() running sum against a fresh
+     * walk of the queue (the DST load-signals invariant).
      *
      * @return Empty string when consistent, else what differs.
      */
@@ -260,11 +245,9 @@ class Mls {
     /** Members of the in-flight request-level batch. */
     std::unordered_set<LiveRequest*> requestLevelBatch_;
     std::uint64_t preemptions_ = 0;
-    /** Running sums behind pendingPromptTokens() and
-     *  residentContextTokens(), kept at every queue and resident
-     *  mutation. */
+    /** Running sum behind pendingPromptTokens(), kept at every
+     *  queue mutation and chunk admission. */
     std::int64_t pendingPromptTokens_ = 0;
-    std::int64_t residentContextTokens_ = 0;
     std::function<void(LiveRequest*)> onPreempt_;
 };
 

@@ -106,27 +106,22 @@ TEST_F(MlsTest, ChunkedPrefillSpreadsPromptAcrossIterations)
     EXPECT_EQ(mls.pendingPrompts(), 0u);
 }
 
-TEST_F(MlsTest, LoadSignalsFollowChunkProgressAndPreemption)
+TEST_F(MlsTest, PendingPromptTokensFollowChunkProgress)
 {
     Mls mls(chunkedConfig(512), 100000);
     LiveRequest* prompt = makeRequest(1200, 10);
     mls.enqueuePrompt(prompt);
-    LiveRequest* resident = makeResident(mls, 500, 2, 10);
+    makeResident(mls, 500, 2, 10);
     EXPECT_EQ(mls.pendingPromptTokens(), 1200);
-    EXPECT_EQ(mls.residentContextTokens(), 502);
 
     const BatchPlan plan = mls.nextBatch();
     ASSERT_EQ(plan.decodes.size(), 1u);
     // The admitted chunk is running, no longer pending.
     EXPECT_EQ(mls.pendingPromptTokens(), 1200 - 512);
-    mls.recordDecodeToken(resident, 10);
-    EXPECT_EQ(mls.residentContextTokens(), 503);
     EXPECT_FALSE(mls.completeChunk(prompt));
     EXPECT_EQ(mls.pendingPromptTokens(), 1200 - 512);
     EXPECT_EQ(mls.integrityError(), "");
 
-    mls.finish(resident);
-    EXPECT_EQ(mls.residentContextTokens(), 0);
     mls.clearAll();
     EXPECT_EQ(mls.pendingPromptTokens(), 0);
     EXPECT_EQ(mls.integrityError(), "");
@@ -139,7 +134,8 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
     // and without chunking, continuous, request-level) and KV
     // pressure that forces preemptions, with recompute and
     // prefix-hit arrivals and occasional machine failures, checking
-    // both running sums against a fresh walk after every step.
+    // the pending-prompt running sum against a fresh walk after every
+    // step.
     const std::vector<MlsConfig> configs = {
         chunkedConfig(0), chunkedConfig(256),
         config(BatchPolicy::kContinuous), config(BatchPolicy::kRequestLevel)};
@@ -160,7 +156,7 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
             } else {
                 const BatchPlan plan = mls.nextBatch();
                 for (LiveRequest* req : plan.decodes) {
-                    mls.recordDecodeToken(req, step);
+                    req->recordToken(step);
                     if (req->finished())
                         mls.finish(req);
                 }
