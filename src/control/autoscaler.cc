@@ -70,7 +70,8 @@ Autoscaler::tick()
 }
 
 bool
-Autoscaler::drained(const engine::Machine& m)
+Autoscaler::drained(const engine::Machine& m,
+                    std::vector<char>& referenced) const
 {
     if (m.busy() || m.mls().hasWork() || m.mls().blocks().residents() > 0)
         return false;
@@ -78,30 +79,30 @@ Autoscaler::drained(const engine::Machine& m)
     // pre-retire routing decision) could try to reserve KV here
     // later; a parked machine rejects the reservation and never
     // fires onMemoryFreed, deadlocking the request. Hold the park
-    // until nothing in the simulation references the machine. One
-    // walk per tick serves every pending drain: parking or
-    // restoring a machine moves no request.
-    if (!referencedValid_) {
-        referenced_.assign(cluster_.machines().size(), 0);
+    // until nothing in the simulation references the machine.
+    if (referenced.empty()) {
+        referenced.assign(cluster_.machines().size(), 0);
         cluster_.requestPool().forEachLive(
             [&](const engine::LiveRequest& req) {
                 if (req.terminal())
                     return;
                 for (const int id : {req.promptMachine, req.tokenMachine}) {
                     if (id >= 0)
-                        referenced_[static_cast<std::size_t>(id)] = 1;
+                        referenced[static_cast<std::size_t>(id)] = 1;
                 }
             });
-        referencedValid_ = true;
     }
-    return referenced_[static_cast<std::size_t>(m.id())] == 0;
+    return referenced[static_cast<std::size_t>(m.id())] == 0;
 }
 
 void
 Autoscaler::completeDrains()
 {
     core::ClusterScheduler& cls = cluster_.scheduler();
-    referencedValid_ = false;
+    // Filled by the first idle candidate's check. One walk of the
+    // live requests serves every pending drain: parking or restoring
+    // a machine moves no request.
+    std::vector<char> referenced;
     for (auto it = pendingDrains_.begin(); it != pendingDrains_.end();) {
         const int id = it->first;
         engine::Machine* m = cluster_.machines()[static_cast<std::size_t>(id)]
@@ -112,7 +113,7 @@ Autoscaler::completeDrains()
             it = pendingDrains_.erase(it);
             continue;
         }
-        if (!drained(*m)) {
+        if (!drained(*m, referenced)) {
             ++it;
             continue;
         }

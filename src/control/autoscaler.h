@@ -160,10 +160,13 @@ class Autoscaler {
     void completeDrains();
 
     /**
-     * True once nothing in the simulation references the machine.
-     * Walks the live requests at most once per completeDrains().
+     * True once @p m is idle and nothing in the simulation references
+     * it. @p referenced flags, by machine id, the machines a live
+     * request names; an empty vector is filled here by one walk of
+     * the live requests.
      */
-    bool drained(const engine::Machine& m);
+    bool drained(const engine::Machine& m,
+                 std::vector<char>& referenced) const;
 
     void enforcePowerBudget();
     void stepBrownout(const WindowStats& stats);
@@ -194,10 +197,6 @@ class Autoscaler {
 
     /** Retired machines draining toward park or flex. */
     std::unordered_map<int, DrainIntent> pendingDrains_;
-    /** Machine ids a live request names, by id; filled by drained()
-     *  on the first check of each completeDrains() pass. */
-    std::vector<char> referenced_;
-    bool referencedValid_ = false;
     /** Machines whose unpark lead time is running. */
     std::unordered_set<int> pendingUnparks_;
     /** In-flight scale-ups per pool (prompt, token), so one surge
