@@ -83,6 +83,13 @@ class QuantileSketch {
     /** Occupied (non-empty) bucket count. */
     std::size_t bucketCount() const;
 
+    /**
+     * Buckets the dense store holds, empty ones included: the span
+     * from the lowest to the highest occupied bucket. This is the
+     * sketch's memory footprint.
+     */
+    std::size_t storeSize() const { return counts_.size(); }
+
   private:
     /** Bucket index of a positive value. */
     std::int32_t indexOf(double value) const;

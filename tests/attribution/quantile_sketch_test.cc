@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <random>
@@ -328,10 +329,47 @@ TEST(QuantileSketchTest, MemoryStaysBoundedAtAMillionSamples)
         v *= step;
     }
     EXPECT_EQ(s.count(), 1000000u);
-    EXPECT_LT(s.bucketCount(), 4096u);
+    EXPECT_LT(s.storeSize(), 4096u);
+    EXPECT_LE(s.bucketCount(), s.storeSize());
     s.clear();
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.bucketCount(), 0u);
+    EXPECT_EQ(s.storeSize(), 0u);
+}
+
+TEST(QuantileSketchTest, StoreSpansOnlyTheOccupiedIndexRange)
+{
+    // Two samples eighteen decades apart occupy two buckets, but the
+    // dense store holds every bucket between them: its footprint is
+    // the index span, no more.
+    const double alpha = 0.005;
+    const double log_gamma = std::log((1.0 + alpha) / (1.0 - alpha));
+    const auto index = [&](double v) {
+        return static_cast<std::int64_t>(std::ceil(std::log(v) / log_gamma));
+    };
+    const std::size_t span =
+        static_cast<std::size_t>(index(1e9) - index(1e-9)) + 1;
+
+    QuantileSketch s(alpha);
+    s.add(1e-9);
+    EXPECT_EQ(s.storeSize(), 1u);
+    s.add(1e9);
+    EXPECT_EQ(s.bucketCount(), 2u);
+    EXPECT_EQ(s.storeSize(), span);
+    // Samples and merges inside the span do not widen the store.
+    s.add(1.0);
+    QuantileSketch inside(alpha);
+    inside.add(1e-3);
+    inside.add(1e3);
+    s.merge(inside);
+    EXPECT_EQ(s.storeSize(), span);
+    // A merge below the span widens it by exactly the new buckets.
+    QuantileSketch below(alpha);
+    below.add(1e-12);
+    s.merge(below);
+    EXPECT_EQ(s.storeSize(),
+              static_cast<std::size_t>(index(1e9) - index(1e-12)) + 1);
+    EXPECT_EQ(s.bucketCount(), 6u);
 }
 
 TEST(RequestMetricsSketchTest, SketchModeDropsSamplesButKeepsStats)
