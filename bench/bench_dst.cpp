@@ -103,6 +103,8 @@ runSoak(const DstArgs& args)
     std::uint64_t rejected = 0;
     std::uint64_t restarts = 0;
     std::uint64_t transfers = 0;
+    std::uint64_t preemptions = 0;
+    int preempting = 0;
 
     bench::banner("DST soak");
     std::printf("jobs=%d base_seed=%llu %s\n", jobs,
@@ -173,6 +175,8 @@ runSoak(const DstArgs& args)
             rejected += r.outcome.rejected;
             restarts += r.outcome.restarts;
             transfers += r.outcome.transfers;
+            preemptions += r.outcome.preemptions;
+            preempting += r.outcome.preemptions > 0 ? 1 : 0;
         }
         ran += static_cast<std::uint64_t>(results.size());
         std::printf("  %llu scenarios clean (%.1fs)\n",
@@ -184,12 +188,14 @@ runSoak(const DstArgs& args)
 
     std::printf(
         "\n%llu scenarios, 0 violations in %.1fs\n"
-        "  completed=%llu rejected=%llu restarts=%llu transfers=%llu\n",
+        "  completed=%llu rejected=%llu restarts=%llu transfers=%llu\n"
+        "  preemptions=%llu in %d scenarios\n",
         static_cast<unsigned long long>(ran), elapsedS(),
         static_cast<unsigned long long>(completed),
         static_cast<unsigned long long>(rejected),
         static_cast<unsigned long long>(restarts),
-        static_cast<unsigned long long>(transfers));
+        static_cast<unsigned long long>(transfers),
+        static_cast<unsigned long long>(preemptions), preempting);
     return 0;
 }
 

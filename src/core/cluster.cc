@@ -95,11 +95,14 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
             llm_, spec, config_.memoryUtilFraction));
         const auto* perf = perfModels_.back().get();
         const auto* memory = memoryModels_.back().get();
+        // Every machine of the pool shares one perf model, so the
+        // decode-batch cap is priced once.
+        const engine::PricedMlsConfig mls =
+            engine::withThroughputOptimalBatch(config_.mls, *perf);
         for (int i = 0; i < count; ++i) {
             const int id = static_cast<int>(machines_.size());
             machines_.push_back(std::make_unique<engine::Machine>(
-                simulator_, id, spec, *perf, *memory, config_.mls,
-                callbacks));
+                simulator_, id, spec, *perf, *memory, mls, callbacks));
             engine_.registerMachine(machines_.back().get());
             out.push_back(machines_.back().get());
         }
@@ -395,6 +398,11 @@ Cluster::failMachine(int machine_id)
     // survivors.
     cls_->markFailed(machine_id);
     machine->fail();
+    // Transfers parked on the crashed machine's memory die with it:
+    // their requests restart below. Left queued, the stale entries
+    // stay counted as waiting until the machine next frees memory,
+    // which after a recovery may never happen.
+    engine_.onMemoryFreed(machine);
     // The crash wiped the machine's cached prefixes with its KV;
     // drop the policy's directory entries so follow-up session turns
     // miss cleanly instead of routing to an empty cache.

@@ -32,22 +32,10 @@ bool
 BlockManager::reclaimFor(std::int64_t need_blocks)
 {
     while (freeBlocks() < need_blocks) {
-        // LRU victim among refcount-zero entries; key breaks ties
-        // deterministically. O(entries) per eviction is fine at
-        // cache sizes a machine can hold.
-        auto victim = prefixes_.end();
-        for (auto it = prefixes_.begin(); it != prefixes_.end(); ++it) {
-            if (it->second.refcount != 0)
-                continue;
-            if (victim == prefixes_.end() ||
-                it->second.lastUse < victim->second.lastUse ||
-                (it->second.lastUse == victim->second.lastUse &&
-                 it->first < victim->first)) {
-                victim = it;
-            }
-        }
-        if (victim == prefixes_.end())
+        if (idle_.empty())
             return false;
+        const auto victim = prefixes_.find(idle_.begin()->second);
+        idle_.erase(idle_.begin());
         usedBlocks_ -= victim->second.blocks;
         usedTokens_ -= victim->second.tokens;
         sharedBlocks_ -= victim->second.blocks;
@@ -58,6 +46,42 @@ BlockManager::reclaimFor(std::int64_t need_blocks)
         prefixes_.erase(victim);
     }
     return true;
+}
+
+void
+BlockManager::pin(std::uint64_t key, SharedPrefix& entry)
+{
+    if (entry.refcount++ == 0) {
+        reclaimableBlocks_ -= entry.blocks;
+        reclaimableTokens_ -= entry.tokens;
+        idle_.erase({entry.lastUse, key});
+    }
+}
+
+void
+BlockManager::unpin(std::uint64_t key, SharedPrefix& entry)
+{
+    if (--entry.refcount == 0) {
+        reclaimableBlocks_ += entry.blocks;
+        reclaimableTokens_ += entry.tokens;
+        idle_.insert({entry.lastUse, key});
+    }
+}
+
+void
+BlockManager::touch(std::uint64_t key, SharedPrefix& entry)
+{
+    const std::uint64_t last = entry.lastUse;
+    entry.lastUse = ++useTick_;
+    if (entry.refcount != 0)
+        return;
+    // Reuse the index node: a touch is a move, not a reallocation,
+    // and the newest tick always lands at the back.
+    auto node = idle_.extract({last, key});
+    if (node.empty())
+        sim::panic("BlockManager: idle prefix missing from eviction index");
+    node.value().first = entry.lastUse;
+    idle_.insert(idle_.end(), std::move(node));
 }
 
 bool
@@ -72,44 +96,65 @@ BlockManager::allocate(std::uint64_t request_id, std::int64_t tokens)
     const std::int64_t need = blocksFor(effective);
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    table_[request_id] = {effective, need, prefix};
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    slots_[slot] = {request_id, effective, need, prefix};
+    table_[request_id] = slot;
     usedBlocks_ += need;
     usedTokens_ += effective;
     return true;
+}
+
+std::uint32_t
+BlockManager::slotOf(std::uint64_t request_id) const
+{
+    const std::uint32_t* slot = table_.find(request_id);
+    return slot == nullptr ? kNoSlot : *slot;
+}
+
+bool
+BlockManager::slotHeldBy(std::uint32_t slot, std::uint64_t request_id) const
+{
+    return slot != kNoSlot && slotOf(request_id) == slot;
 }
 
 bool
 BlockManager::canExtend(std::uint64_t request_id,
                         std::int64_t new_total_tokens) const
 {
-    const Allocation* alloc = table_.find(request_id);
-    if (alloc == nullptr)
+    const std::uint32_t* slot = table_.find(request_id);
+    if (slot == nullptr)
         return false;
+    const Allocation& alloc = slots_[*slot];
     const std::int64_t effective =
-        std::max<std::int64_t>(0, new_total_tokens - alloc->prefixTokens);
-    const std::int64_t need = blocksFor(effective) - alloc->blocks;
+        std::max<std::int64_t>(0, new_total_tokens - alloc.prefixTokens);
+    const std::int64_t need = blocksFor(effective) - alloc.blocks;
     return need <= freeBlocks() + reclaimableBlocks_;
 }
 
 bool
 BlockManager::extend(std::uint64_t request_id, std::int64_t new_total_tokens)
 {
-    Allocation* alloc = table_.find(request_id);
-    if (alloc == nullptr)
-        return false;
-    const std::int64_t effective =
-        std::max<std::int64_t>(0, new_total_tokens - alloc->prefixTokens);
-    if (effective <= alloc->tokens) {
-        // Contexts only grow; a no-op extension is still a success.
-        return true;
-    }
-    const std::int64_t need = blocksFor(effective) - alloc->blocks;
+    const std::uint32_t* slot = table_.find(request_id);
+    return slot != nullptr && extendAt(*slot, new_total_tokens);
+}
+
+bool
+BlockManager::growBlocks(Allocation& alloc, std::int64_t effective)
+{
+    const std::int64_t need = blocksFor(effective) - alloc.blocks;
     // reclaimFor() only erases prefix entries: alloc stays valid.
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    usedTokens_ += effective - alloc->tokens;
-    alloc->tokens = effective;
-    alloc->blocks += need;
+    usedTokens_ += effective - alloc.tokens;
+    alloc.tokens = effective;
+    alloc.blocks += need;
     usedBlocks_ += need;
     return true;
 }
@@ -117,9 +162,11 @@ BlockManager::extend(std::uint64_t request_id, std::int64_t new_total_tokens)
 void
 BlockManager::release(std::uint64_t request_id)
 {
-    if (const Allocation* alloc = table_.find(request_id)) {
-        usedBlocks_ -= alloc->blocks;
-        usedTokens_ -= alloc->tokens;
+    if (const std::uint32_t* slot = table_.find(request_id)) {
+        const Allocation& alloc = slots_[*slot];
+        usedBlocks_ -= alloc.blocks;
+        usedTokens_ -= alloc.tokens;
+        freeSlots_.push_back(*slot);
         table_.erase(request_id);
     }
     const auto pin = pins_.find(request_id);
@@ -127,10 +174,7 @@ BlockManager::release(std::uint64_t request_id)
         const auto entry = prefixes_.find(pin->second.key);
         if (entry == prefixes_.end())
             sim::panic("BlockManager::release: pin on evicted prefix");
-        if (--entry->second.refcount == 0) {
-            reclaimableBlocks_ += entry->second.blocks;
-            reclaimableTokens_ += entry->second.tokens;
-        }
+        unpin(entry->first, entry->second);
         pins_.erase(pin);
     }
 }
@@ -144,8 +188,8 @@ BlockManager::holds(std::uint64_t request_id) const
 std::int64_t
 BlockManager::tokensOf(std::uint64_t request_id) const
 {
-    const Allocation* alloc = table_.find(request_id);
-    return alloc == nullptr ? 0 : alloc->tokens;
+    const std::uint32_t* slot = table_.find(request_id);
+    return slot == nullptr ? 0 : slots_[*slot].tokens;
 }
 
 std::vector<std::uint64_t>
@@ -154,7 +198,7 @@ BlockManager::heldRequestIds() const
     std::vector<std::uint64_t> ids;
     ids.reserve(table_.size());
     table_.forEach(
-        [&ids](std::uint64_t id, const Allocation&) { ids.push_back(id); });
+        [&ids](std::uint64_t id, std::uint32_t) { ids.push_back(id); });
     std::sort(ids.begin(), ids.end());
     return ids;
 }
@@ -162,8 +206,11 @@ BlockManager::heldRequestIds() const
 void
 BlockManager::reset()
 {
+    slots_.clear();
+    freeSlots_.clear();
     table_.clear();
     prefixes_.clear();
+    idle_.clear();
     pins_.clear();
     usedBlocks_ = 0;
     usedTokens_ = 0;
@@ -180,7 +227,7 @@ BlockManager::lookupPrefix(std::uint64_t key)
     const auto it = prefixes_.find(key);
     if (it == prefixes_.end())
         return 0;
-    touch(it->second);
+    touch(key, it->second);
     return it->second.tokens;
 }
 
@@ -193,22 +240,16 @@ BlockManager::storePrefix(std::uint64_t key, std::int64_t tokens)
     if (it != prefixes_.end()) {
         SharedPrefix& entry = it->second;
         if (tokens <= entry.tokens) {
-            touch(entry);
+            touch(key, entry);
             return true;
         }
         const std::int64_t delta = blocksFor(tokens) - entry.blocks;
         // A refcount-zero entry must not be cannibalized to grow
-        // itself, so it is temporarily pinned around the reclaim.
-        ++entry.refcount;
-        if (entry.refcount == 1) {
-            reclaimableBlocks_ -= entry.blocks;
-            reclaimableTokens_ -= entry.tokens;
-        }
+        // itself, so it is temporarily pinned (out of the eviction
+        // index) around the reclaim.
+        pin(key, entry);
         const bool fits = delta <= freeBlocks() || reclaimFor(delta);
-        if (--entry.refcount == 0) {
-            reclaimableBlocks_ += entry.blocks;
-            reclaimableTokens_ += entry.tokens;
-        }
+        unpin(key, entry);
         if (!fits)
             return false;
         const std::int64_t token_delta = tokens - entry.tokens;
@@ -222,7 +263,7 @@ BlockManager::storePrefix(std::uint64_t key, std::int64_t tokens)
             reclaimableBlocks_ += delta;
             reclaimableTokens_ += token_delta;
         }
-        touch(entry);
+        touch(key, entry);
         ++stats_.stores;
         return true;
     }
@@ -232,8 +273,9 @@ BlockManager::storePrefix(std::uint64_t key, std::int64_t tokens)
     SharedPrefix entry;
     entry.tokens = tokens;
     entry.blocks = need;
-    touch(entry);
+    entry.lastUse = ++useTick_;
     prefixes_.emplace(key, entry);
+    idle_.emplace_hint(idle_.end(), entry.lastUse, key);
     usedBlocks_ += need;
     usedTokens_ += tokens;
     sharedBlocks_ += need;
@@ -253,15 +295,11 @@ BlockManager::acquirePrefix(std::uint64_t key, std::uint64_t request_id)
         return false;
     }
     SharedPrefix& entry = it->second;
-    if (entry.refcount == 0) {
-        reclaimableBlocks_ -= entry.blocks;
-        reclaimableTokens_ -= entry.tokens;
-    }
-    ++entry.refcount;
+    pin(key, entry);
     pins_[request_id] = {key, entry.tokens};
-    if (Allocation* alloc = table_.find(request_id))
-        alloc->prefixTokens = entry.tokens;
-    touch(entry);
+    if (const std::uint32_t* slot = table_.find(request_id))
+        slots_[*slot].prefixTokens = entry.tokens;
+    touch(key, entry);
     ++stats_.hits;
     stats_.hitTokens += entry.tokens;
     return true;
@@ -301,9 +339,16 @@ BlockManager::audit() const
     std::int64_t blocks = 0;
     std::int64_t tokens = 0;
     std::string error;
-    table_.forEach([&](std::uint64_t id, const Allocation& alloc) {
+    table_.forEach([&](std::uint64_t id, std::uint32_t slot) {
         if (!error.empty())
             return;
+        if (slot >= slots_.size() || slots_[slot].requestId != id) {
+            error = "table maps request " + std::to_string(id) +
+                    " to slot " + std::to_string(slot) +
+                    ", which it does not own";
+            return;
+        }
+        const Allocation& alloc = slots_[slot];
         if (alloc.tokens < 0 || alloc.blocks < 0) {
             error = "allocation for request " + std::to_string(id) +
                     " has negative size";
@@ -324,6 +369,21 @@ BlockManager::audit() const
     });
     if (!error.empty())
         return error;
+    // Owned slots are distinct (each names its own request), so the
+    // table and the free list partition the slab when the counts add
+    // up and no free slot is owned.
+    if (table_.size() + freeSlots_.size() != slots_.size()) {
+        return "slab of " + std::to_string(slots_.size()) + " slots != " +
+               std::to_string(table_.size()) + " held + " +
+               std::to_string(freeSlots_.size()) + " free";
+    }
+    for (const std::uint32_t slot : freeSlots_) {
+        if (slot >= slots_.size() ||
+            slotOf(slots_[slot].requestId) == slot) {
+            return "free slot " + std::to_string(slot) +
+                   " is out of range or still held";
+        }
+    }
     std::unordered_map<std::uint64_t, std::int64_t> pin_counts;
     for (const auto& [id, pin] : pins_) {
         const auto entry = prefixes_.find(pin.key);
@@ -343,6 +403,7 @@ BlockManager::audit() const
     std::int64_t shared_tokens = 0;
     std::int64_t reclaim_blocks = 0;
     std::int64_t reclaim_tokens = 0;
+    std::size_t idle = 0;
     for (const auto& [key, entry] : prefixes_) {
         if (entry.tokens <= 0 || entry.blocks != blocksFor(entry.tokens)) {
             return "prefix " + std::to_string(key) + " holds " +
@@ -362,7 +423,17 @@ BlockManager::audit() const
         if (entry.refcount == 0) {
             reclaim_blocks += entry.blocks;
             reclaim_tokens += entry.tokens;
+            ++idle;
+            if (idle_.count({entry.lastUse, key}) == 0) {
+                return "idle prefix " + std::to_string(key) +
+                       " missing from the eviction index at lastUse " +
+                       std::to_string(entry.lastUse);
+            }
         }
+    }
+    if (idle != idle_.size()) {
+        return "eviction index holds " + std::to_string(idle_.size()) +
+               " entries for " + std::to_string(idle) + " idle prefixes";
     }
     if (shared_blocks != sharedBlocks_ || shared_tokens != sharedTokens_) {
         return "shared aggregates (" + std::to_string(sharedBlocks_) + "," +

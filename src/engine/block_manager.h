@@ -2,8 +2,11 @@
 #define SPLITWISE_ENGINE_BLOCK_MANAGER_H_
 
 #include <cstdint>
+#include <limits>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/flat_map.h"
@@ -43,6 +46,10 @@ struct PrefixReference {
  * its context grows during decoding. Paging eliminates external
  * fragmentation; internal fragmentation is at most one block per
  * request, which utilization() accounts for.
+ *
+ * Allocations live in a slab: a request's slot index stays valid
+ * while it holds the allocation, so a caller that cached it
+ * (slotOf()) grows the context with extendAt() and no table probe.
  *
  * On top of the per-request tables sits a shared-prefix tier for
  * session KV reuse: ref-counted prefix entries keyed by session,
@@ -108,6 +115,40 @@ class BlockManager {
      *     cannot cover the growth.
      */
     bool extend(std::uint64_t request_id, std::int64_t new_total_tokens);
+
+    /** Returned by slotOf() for a request without an allocation. */
+    static constexpr std::uint32_t kNoSlot =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * Slab slot of @p request_id's allocation (kNoSlot if absent).
+     * It stays valid until the request's allocation is released.
+     */
+    std::uint32_t slotOf(std::uint64_t request_id) const;
+
+    /** True when @p slot holds @p request_id's allocation. */
+    bool slotHeldBy(std::uint32_t slot, std::uint64_t request_id) const;
+
+    /**
+     * extend() by slab slot (see slotOf()): the per-decode-token
+     * path. Growth within the allocation's last block updates the
+     * token counts only; a block boundary falls through to the
+     * out-of-line allocation path.
+     */
+    bool
+    extendAt(std::uint32_t slot, std::int64_t new_total_tokens)
+    {
+        Allocation& alloc = slots_[slot];
+        const std::int64_t effective = new_total_tokens - alloc.prefixTokens;
+        // Contexts only grow; a no-op extension is still a success.
+        if (effective <= alloc.tokens)
+            return true;
+        if (effective > alloc.blocks * blockSize_)
+            return growBlocks(alloc, effective);
+        usedTokens_ += effective - alloc.tokens;
+        alloc.tokens = effective;
+        return true;
+    }
 
     /** Check whether extend() to @p new_total_tokens would succeed. */
     bool canExtend(std::uint64_t request_id,
@@ -210,8 +251,10 @@ class BlockManager {
      * equal the table sums (private tables plus the shared tier),
      * per-entry refcounts equal the number of pins pointing at them,
      * every allocation's cached prefix size equals its pin's
-     * acquire-time tokens (0 without a pin), and usage stays within
-     * [0, capacity]. The DST invariant checker
+     * acquire-time tokens (0 without a pin), the table and the slab's
+     * free list partition the slab, the eviction index holds exactly
+     * the refcount-zero prefixes at their LRU positions, and usage
+     * stays within [0, capacity]. The DST invariant checker
      * calls this at every quiescent point; a leak or double-release
      * shows up as an aggregate mismatch.
      *
@@ -222,11 +265,12 @@ class BlockManager {
 
   private:
     struct Allocation {
+        std::uint64_t requestId = 0;
         std::int64_t tokens = 0;
         std::int64_t blocks = 0;
         /** The request's pinned prefix size (its pin's acquire-time
-         *  tokens, 0 without a pin), cached here so extend() needs
-         *  one probe per decode token instead of two lookups. */
+         *  tokens, 0 without a pin), cached here so extendAt() needs
+         *  no pin lookup per decode token. */
         std::int64_t prefixTokens = 0;
     };
 
@@ -243,14 +287,28 @@ class BlockManager {
         std::int64_t tokens = 0;
     };
 
+    /** (lastUse, key) of a refcount-zero prefix: eviction order. */
+    using IdleKey = std::pair<std::uint64_t, std::uint64_t>;
+
+    /** extendAt()'s block-boundary path: allocate the blocks that
+     *  growing @p alloc to @p effective private tokens needs. */
+    bool growBlocks(Allocation& alloc, std::int64_t effective);
+
     /** Evict refcount-zero prefixes (LRU first, key as tie-break)
      *  until at least @p need_blocks are free. */
     bool reclaimFor(std::int64_t need_blocks);
 
-    /** Blocks reclaimable right now from refcount-zero prefixes. */
-    std::int64_t reclaimableBlocks() const { return reclaimableBlocks_; }
+    /** Refcount +1; a 0 -> 1 pin leaves the reclaimable tier and the
+     *  eviction index. */
+    void pin(std::uint64_t key, SharedPrefix& entry);
 
-    void touch(SharedPrefix& entry) { entry.lastUse = ++useTick_; }
+    /** Refcount -1; a drop to 0 rejoins the reclaimable tier and the
+     *  eviction index at the entry's lastUse position. */
+    void unpin(std::uint64_t key, SharedPrefix& entry);
+
+    /** Mark the entry most recently used, moving it to the back of
+     *  the eviction index when it is idle there. */
+    void touch(std::uint64_t key, SharedPrefix& entry);
 
     std::int64_t totalBlocks_ = 0;
     std::int64_t usedBlocks_ = 0;
@@ -261,9 +319,14 @@ class BlockManager {
     std::int64_t reclaimableTokens_ = 0;
     int blockSize_ = 16;
     std::uint64_t useTick_ = 0;
-    /** Per-request block tables: probed once per decode token. */
-    sim::FlatMap<std::uint64_t, Allocation> table_;
+    /** Allocation slab; a slot is reused once its request releases. */
+    std::vector<Allocation> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    /** Request id -> slab slot, for the by-id calls. */
+    sim::FlatMap<std::uint64_t, std::uint32_t> table_;
     std::unordered_map<std::uint64_t, SharedPrefix> prefixes_;
+    /** The refcount-zero prefixes in eviction order. */
+    std::set<IdleKey> idle_;
     std::unordered_map<std::uint64_t, PrefixPin> pins_;
     PrefixCacheStats stats_;
 };

@@ -355,9 +355,11 @@ KvTransferEngine::onMemoryFreed(Machine* dst)
     std::size_t served = 0;
     for (; served < queue.size(); ++served) {
         Pending& head = queue[served];
-        if (head.request->restartEpoch != head.epoch) {
-            // Restarted after a failure; the new incarnation is
-            // routed elsewhere.
+        if (head.request->restartEpoch != head.epoch || head.src->failed()) {
+            // Restarted after a failure, or about to be: the failure
+            // handler restarts a request whose KV source crashed, and
+            // its releases can land here first. The new incarnation
+            // is routed afresh; reserving for this one would leak.
             continue;
         }
         if (!dst->reserveKv(head.request, head.request->contextTokens() + 1))

@@ -6,15 +6,7 @@
 
 namespace splitwise::engine {
 
-namespace {
-
-/**
- * Decode batch size maximizing generated tokens/s on this machine.
- * Throughput rises with batch until the quadratic batching penalty
- * (Fig. 5b) dominates; admitting more residents past that point
- * *lowers* throughput, so the MLS caps its batch there.
- */
-MlsConfig
+PricedMlsConfig
 withThroughputOptimalBatch(MlsConfig config, const model::PerfModel& perf)
 {
     constexpr std::int64_t kCtxPerSeq = 1200;
@@ -29,24 +21,41 @@ withThroughputOptimalBatch(MlsConfig config, const model::PerfModel& perf)
         }
     }
     config.maxBatchSize = std::min(config.maxBatchSize, best_b);
-    return config;
+    return PricedMlsConfig(config);
 }
-
-}  // namespace
 
 Machine::Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
                  const model::PerfModel& perf,
                  const model::MemoryModel& memory, MlsConfig mls_config,
                  Callbacks callbacks)
+    : Machine(simulator, id, std::move(spec), perf, memory,
+              withThroughputOptimalBatch(mls_config, perf),
+              std::move(callbacks))
+{
+}
+
+Machine::Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
+                 const model::PerfModel& perf,
+                 const model::MemoryModel& memory, PricedMlsConfig mls_config,
+                 Callbacks callbacks)
     : simulator_(simulator), id_(id), spec_(std::move(spec)), perf_(perf),
-      power_(spec_.gpu),
-      mls_(withThroughputOptimalBatch(mls_config, perf),
-           memory.kvCapacityTokens()),
+      power_(spec_.gpu), mls_(mls_config.config, memory.kvCapacityTokens()),
       callbacks_(std::move(callbacks))
 {
     if (!memory.weightsFit())
         sim::fatal("Machine " + spec_.name + ": model weights do not fit");
     stats_.activeTokens.start(simulator_.now(), 0);
+    // A preempted resident's KV is dropped and it recomputes its
+    // context from this machine's queue: this is its prompt machine
+    // now (a crash here must strand it), and its attribution returns
+    // to the queue phase.
+    mls_.setPreemptHook([this](LiveRequest* victim) {
+        victim->promptMachine = id_;
+        if (spans_) {
+            spans_->transition(victim->spec.id, telemetry::SpanPhase::kQueue,
+                               simulator_.now());
+        }
+    });
 }
 
 void
@@ -147,22 +156,6 @@ Machine::maxBatchWithinTbt(double tbt_ms) const
     cachedTbtBoundMs_ = tbt_ms;
     cachedMaxBatch_ = lo;
     return lo;
-}
-
-void
-Machine::setSpans(telemetry::SpanTracker* spans)
-{
-    spans_ = spans;
-    // A preempted resident's KV is dropped and it recomputes from the
-    // queue, so its attribution returns to the queue phase.
-    if (spans) {
-        mls_.setPreemptHook([this](LiveRequest* victim) {
-            spans_->transition(victim->spec.id, telemetry::SpanPhase::kQueue,
-                               simulator_.now());
-        });
-    } else {
-        mls_.setPreemptHook(nullptr);
-    }
 }
 
 void

@@ -45,6 +45,28 @@ struct MachineStats {
 };
 
 /**
+ * An MlsConfig whose maxBatchSize is already capped at the
+ * throughput-optimal decode batch of one perf model, as made by
+ * withThroughputOptimalBatch(): a pool of machines sharing that perf
+ * model prices the cap once and passes it to each.
+ */
+struct PricedMlsConfig {
+    explicit PricedMlsConfig(MlsConfig priced) : config(priced) {}
+
+    MlsConfig config;
+};
+
+/**
+ * Cap @p config's maxBatchSize at the decode batch that maximizes
+ * generated tokens/s under @p perf. Throughput rises with batch until
+ * the quadratic batching penalty (Fig. 5b) dominates; admitting more
+ * residents past that point *lowers* throughput, so the MLS caps its
+ * batch there. Prices every batch size up to the configured maximum.
+ */
+PricedMlsConfig withThroughputOptimalBatch(MlsConfig config,
+                                           const model::PerfModel& perf);
+
+/**
  * A simulated DGX inference machine.
  *
  * Wires the MLS batching logic into the event loop: at every
@@ -92,9 +114,15 @@ class Machine {
         std::function<void(Machine&)> onIterationEnd;
     };
 
+    /** Caps @p mls_config with withThroughputOptimalBatch(). */
     Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
             const model::PerfModel& perf, const model::MemoryModel& memory,
             MlsConfig mls_config, Callbacks callbacks);
+
+    /** Takes a cap already priced for @p perf. */
+    Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
+            const model::PerfModel& perf, const model::MemoryModel& memory,
+            PricedMlsConfig mls_config, Callbacks callbacks);
 
     Machine(const Machine&) = delete;
     Machine& operator=(const Machine&) = delete;
@@ -219,7 +247,7 @@ class Machine {
      * for every request this machine touches, including preemption
      * re-queues. nullptr detaches.
      */
-    void setSpans(telemetry::SpanTracker* spans);
+    void setSpans(telemetry::SpanTracker* spans) { spans_ = spans; }
 
     /**
      * Attach a per-token hook, fired after every recordToken() —

@@ -19,15 +19,6 @@ batchPolicyName(BatchPolicy policy)
 }
 
 std::int64_t
-BatchPlan::contextTokens() const
-{
-    std::int64_t total = 0;
-    for (const auto* r : decodes)
-        total += r->contextTokens();
-    return total;
-}
-
-std::int64_t
 BatchPlan::activeTokens() const
 {
     return promptTokens + static_cast<std::int64_t>(decodes.size());
@@ -40,7 +31,7 @@ BatchPlan::shape() const
     s.promptTokens = promptTokens;
     s.promptRequests = static_cast<int>(prompts.size());
     s.tokenRequests = static_cast<int>(decodes.size());
-    s.contextTokens = contextTokens();
+    s.contextTokens = contextTokens;
     return s;
 }
 
@@ -83,7 +74,8 @@ Mls::enqueuePrompt(LiveRequest* request)
 void
 Mls::addResident(LiveRequest* request)
 {
-    if (!blocks_.holds(request->spec.id)) {
+    const std::uint32_t slot = blocks_.slotOf(request->spec.id);
+    if (slot == BlockManager::kNoSlot) {
         sim::panic("Mls::addResident without a KV allocation: request " +
                    std::to_string(request->spec.id) + " phase " +
                    std::to_string(static_cast<int>(request->phase)) +
@@ -94,6 +86,7 @@ Mls::addResident(LiveRequest* request)
                    " preemptions " + std::to_string(request->preemptions) +
                    " epoch " + std::to_string(request->restartEpoch));
     }
+    request->kvSlot = slot;
     request->phase = RequestPhase::kDecoding;
     request->starvedIterations = 0;
     residents_.push_back(request);
@@ -236,8 +229,10 @@ Mls::admitDecodes(BatchPlan& plan, int slot_budget)
             continue;
         }
         // Reserve room for the token this iteration will produce.
-        if (blocks_.extend(req->spec.id, req->contextTokens() + 1)) {
+        const std::int64_t context = req->contextTokens();
+        if (blocks_.extendAt(req->kvSlot, context + 1)) {
             plan.decodes.push_back(req);
+            plan.contextTokens += context;
         } else {
             ++req->starvedIterations;
         }

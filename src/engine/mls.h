@@ -57,6 +57,9 @@ struct BatchPlan {
     std::vector<LiveRequest*> prompts;
     std::vector<LiveRequest*> decodes;
     std::int64_t promptTokens = 0;
+    /** Total KV context under the decode side, summed as the decodes
+     *  are admitted. */
+    std::int64_t contextTokens = 0;
 
     bool
     empty() const
@@ -71,10 +74,8 @@ struct BatchPlan {
         prompts.clear();
         decodes.clear();
         promptTokens = 0;
+        contextTokens = 0;
     }
-
-    /** Total KV context under the decode side. */
-    std::int64_t contextTokens() const;
 
     /**
      * Active tokens in the paper's Fig. 4 sense: each prompt token
@@ -105,7 +106,8 @@ class Mls {
 
     /**
      * Add a decode-phase resident whose KV blocks are already
-     * allocated (local prompt completion or a finished transfer-in).
+     * allocated (local prompt completion or a finished transfer-in),
+     * caching its allocation's slab slot on the request.
      */
     void addResident(LiveRequest* request);
 
@@ -198,8 +200,9 @@ class Mls {
 
     /**
      * Observer called when a resident is preempted back into the
-     * prompt queue (telemetry attribution hook; the Machine installs
-     * it so preempted decode time re-enters the queue phase).
+     * prompt queue. The Machine installs it to make itself the
+     * request's prompt machine and, with spans on, to move the
+     * request's attribution back to the queue phase.
      */
     void
     setPreemptHook(std::function<void(LiveRequest*)> hook)
@@ -221,7 +224,8 @@ class Mls {
     void admitPrompts(BatchPlan& plan, std::int64_t token_budget,
                       int slot_budget, bool chunked);
 
-    /** Admit runnable residents into @p plan. */
+    /** Admit runnable residents into @p plan, growing each one's KV
+     *  by its cached slot and summing the plan's decode context. */
     void admitDecodes(BatchPlan& plan, int slot_budget);
 
     /** Policy planners fill an already-cleared @p plan. */

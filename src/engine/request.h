@@ -86,6 +86,15 @@ struct LiveRequest {
     std::int64_t cachedPrefixTokens = 0;
 
     /**
+     * Slab slot of the request's KV allocation on its token machine
+     * (BlockManager::slotOf), cached by Mls::addResident so each
+     * decode token grows the context without a table probe. Valid
+     * only while the request is resident: a preempted or restarted
+     * request takes a fresh slot when it is re-admitted.
+     */
+    std::uint32_t kvSlot = 0;
+
+    /**
      * Slot index inside the owning RequestPool; pool bookkeeping
      * only. Preserved (with restartEpoch) across slot recycling.
      */

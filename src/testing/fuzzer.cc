@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "hw/machine_spec.h"
+#include "model/llm_config.h"
 #include "sim/rng.h"
 #include "sim/run_pool.h"
 #include "workload/multi_turn.h"
@@ -128,6 +130,43 @@ makeScenario(std::uint64_t seed)
         // their cached prefixes simply go unused, which is legal.
         if (s.requests.size() > kMaxRequests)
             s.requests.resize(kMaxRequests);
+        if (s.autoscale) {
+            workload::assignPriorities(
+                s.requests, rng.uniform(0.1, 0.5),
+                static_cast<std::uint64_t>(
+                    rng.uniformInt(1, 1'000'000'000)));
+        }
+    }
+
+    // KV pressure last, for the same reason. A fifth of the
+    // single-turn seeds leave each machine a few thousand tokens of
+    // KV and swap in a trace of long outputs, a few requests per
+    // machine: decodes outgrow the memory, so the MLS preempts
+    // residents back into its prompt queue and re-admits them on
+    // fresh block-table slots. Prompts are capped so any one
+    // request's final context still fits a machine (an oversize
+    // request is a config error, not a scenario). Session traces keep
+    // their shape: their prompts embed earlier outputs.
+    if (rng.bernoulli(0.2) && s.policy == sched::PolicyKind::kDefault) {
+        const model::LlmConfig& llm = model::llama2_70b();
+        const std::int64_t kv_tokens = rng.uniformInt(2500, 6000);
+        // Every design's GPUs carry the same HBM per machine.
+        s.memoryUtilFraction =
+            static_cast<double>(llm.weightBytes() +
+                                kv_tokens * llm.kvBytesPerToken()) /
+            static_cast<double>(hw::dgxH100().totalHbmBytes());
+        workload::TraceGenerator pressure(
+            rng.bernoulli(0.5) ? workload::coding()
+                               : workload::conversation(),
+            static_cast<std::uint64_t>(rng.uniformInt(1, 1'000'000'000)));
+        s.requests =
+            pressure.generate(s.machines() * rng.uniform(2.0, 5.0), duration);
+        if (s.requests.size() > kMaxRequests)
+            s.requests.resize(kMaxRequests);
+        for (workload::Request& r : s.requests) {
+            r.promptTokens = std::min<std::int64_t>(r.promptTokens, 1000);
+            r.outputTokens = rng.uniformInt(200, 1000);
+        }
         if (s.autoscale) {
             workload::assignPriorities(
                 s.requests, rng.uniform(0.1, 0.5),

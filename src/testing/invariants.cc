@@ -189,6 +189,14 @@ InvariantChecker::checkRequests()
                             " decoding but not resident (or without KV) on "
                             "its token machine");
             }
+            // admitDecodes grows the context through this cached slot.
+            if (!mls.blocks().slotHeldBy(req.kvSlot, req.spec.id)) {
+                violate("kv-accounting",
+                        requestTag(req) + " caches KV slot " +
+                            std::to_string(req.kvSlot) +
+                            ", which is not its allocation on its token "
+                            "machine");
+            }
             break;
           }
           case engine::RequestPhase::kPromptQueued:

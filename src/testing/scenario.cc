@@ -101,6 +101,7 @@ scenarioToJson(const Scenario& s)
                              sched::policyKindName(s.policy))));
     config.set("policy_max_context_tokens",
                JsonValue(s.policyMaxContextTokens));
+    config.set("memory_util_fraction", JsonValue(s.memoryUtilFraction));
     JsonValue retry = JsonValue::makeObject();
     retry.set("max_retries",
               JsonValue(static_cast<std::int64_t>(s.kvRetry.maxRetries)));
@@ -187,6 +188,9 @@ scenarioFromJson(const core::JsonValue& doc)
         s.policyMaxContextTokens =
             config.at("policy_max_context_tokens").asInt();
     }
+    // Absent in pre-KV-pressure scenario files: the default fraction.
+    if (config.has("memory_util_fraction"))
+        s.memoryUtilFraction = config.at("memory_util_fraction").asNumber();
     const auto& retry = config.at("kv_retry");
     s.kvRetry.maxRetries = static_cast<int>(retry.at("max_retries").asInt());
     s.kvRetry.backoffBaseUs = retry.at("backoff_base_us").asInt();
@@ -288,6 +292,7 @@ scenarioSimConfig(const Scenario& scenario)
     config.kvRetry = scenario.kvRetry;
     config.policy.kind = scenario.policy;
     config.policy.maxContextTokens = scenario.policyMaxContextTokens;
+    config.memoryUtilFraction = scenario.memoryUtilFraction;
     config.telemetry.traceEnabled = scenario.traceEnabled;
     // Span tracking rides the trace switch (or the explicit
     // override) so fuzzed runs exercise the span-balance invariant.
@@ -374,6 +379,7 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
         outcome.rejected = report.rejected;
         outcome.restarts = report.restarts;
         outcome.transfers = report.transfers.transfers;
+        outcome.preemptions = report.preemptions;
 
         // Splice the report text directly: reportToJson already emits
         // the compact dump() style, and round-tripping it through a

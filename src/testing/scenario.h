@@ -96,6 +96,13 @@ struct Scenario {
      * would never reach within a few simulated seconds.
      */
     std::int64_t policyMaxContextTokens = workload::kDefaultMaxContextTokens;
+    /**
+     * Share of each machine's HBM usable for weights plus KV
+     * (SimConfig::memoryUtilFraction). KV-pressure seeds set it just
+     * above the weights, so long outputs wedge decodes and drive MLS
+     * preemption.
+     */
+    double memoryUtilFraction = core::SimConfig{}.memoryUtilFraction;
 
     workload::Trace requests;
     core::FaultPlan faults;
@@ -164,6 +171,8 @@ struct ScenarioOutcome {
     std::uint64_t rejected = 0;
     std::uint64_t restarts = 0;
     std::uint64_t transfers = 0;
+    /** MLS preemptions (KV wedged, a resident recomputes). */
+    std::uint64_t preemptions = 0;
 
     /**
      * Canonical JSON of the whole outcome, embedding the full run

@@ -35,6 +35,28 @@ TEST(FuzzerTest, SeedsExploreTheScenarioSpace)
     EXPECT_TRUE(any_checkpointing);
 }
 
+TEST(FuzzerTest, KvPressureSeedsDrivePreemption)
+{
+    // The KV-pressure shape exists so DST reaches the MLS's
+    // preemption path; the short campaign's seeds must preempt.
+    const double default_fraction = core::SimConfig{}.memoryUtilFraction;
+    int pressured = 0;
+    std::uint64_t preemptions = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const Scenario s = makeScenario(seed);
+        if (s.memoryUtilFraction == default_fraction)
+            continue;
+        ++pressured;
+        const ScenarioOutcome outcome = runScenario(s);
+        EXPECT_FALSE(outcome.violated)
+            << "seed " << seed << " violated " << outcome.invariant << ": "
+            << outcome.detail;
+        preemptions += outcome.preemptions;
+    }
+    EXPECT_GE(pressured, 1);
+    EXPECT_GT(preemptions, 0u);
+}
+
 TEST(FuzzerTest, CampaignRunsCleanUnderParallelJobs)
 {
     FuzzerConfig config;

@@ -41,6 +41,7 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryKnob)
     s.kvRetry.backoffMultiplier = 2.25;
     s.kvRetry.timeoutUs = 123456;
     s.traceEnabled = true;
+    s.memoryUtilFraction = 0.2345678901234567;
     s.requests.push_back({1, 1000, 800, 120});
     s.requests.push_back({2, 2500, 1500, 60});
     s.faults.add({core::FaultKind::kLinkDegrade, 1, 5000, 20000, 0.25});
@@ -63,6 +64,7 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryKnob)
                      s.kvRetry.backoffMultiplier);
     EXPECT_EQ(t.kvRetry.timeoutUs, s.kvRetry.timeoutUs);
     EXPECT_EQ(t.traceEnabled, s.traceEnabled);
+    EXPECT_EQ(t.memoryUtilFraction, s.memoryUtilFraction);
     ASSERT_EQ(t.requests.size(), 2u);
     EXPECT_EQ(t.requests[1].promptTokens, 1500);
     ASSERT_EQ(t.faults.size(), 1u);

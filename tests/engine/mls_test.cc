@@ -135,7 +135,9 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
     // pressure that forces preemptions, with recompute and
     // prefix-hit arrivals and occasional machine failures, checking
     // the pending-prompt running sum against a fresh walk after every
-    // step.
+    // step. Every planned decode must grow through its own cached KV
+    // slot (a preempted request is re-admitted on a fresh one), and
+    // the plan's decode context must equal a walk of its decodes.
     const std::vector<MlsConfig> configs = {
         chunkedConfig(0), chunkedConfig(256),
         config(BatchPolicy::kContinuous), config(BatchPolicy::kRequestLevel)};
@@ -155,6 +157,15 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
                 mls.clearAll();
             } else {
                 const BatchPlan plan = mls.nextBatch();
+                std::int64_t context = 0;
+                for (const LiveRequest* req : plan.decodes) {
+                    context += req->contextTokens();
+                    ASSERT_TRUE(
+                        mls.blocks().slotHeldBy(req->kvSlot, req->spec.id))
+                        << "config " << c << " step " << step;
+                }
+                ASSERT_EQ(plan.contextTokens, context)
+                    << "config " << c << " step " << step;
                 for (LiveRequest* req : plan.decodes) {
                     req->recordToken(step);
                     if (req->finished())
@@ -171,6 +182,8 @@ TEST_F(MlsTest, LoadSignalsMatchAWalkUnderRandomTraffic)
                 }
             }
             ASSERT_EQ(mls.integrityError(), "")
+                << "config " << c << " step " << step;
+            ASSERT_EQ(mls.blocks().audit(), "")
                 << "config " << c << " step " << step;
         }
         EXPECT_GT(mls.preemptionCount(), 0u) << "config " << c;

@@ -107,7 +107,10 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                         << where << ": allocate failed with room to spare";
                 }
             } else if (op < 80) {
-                // Decode growth.
+                // Decode growth, alternating between the by-id call
+                // and the by-slot one the MLS makes per decode token
+                // (within a block and across a boundary both, since
+                // growths span up to four blocks).
                 const std::int64_t grow = rng.uniformInt(0, 64);
                 const auto it = allocs.find(id);
                 const auto pin = pins.find(id);
@@ -115,11 +118,17 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                     pin == pins.end() ? 0 : pin->second.tokens;
                 if (it == allocs.end()) {
                     ASSERT_FALSE(bm.extend(id, grow)) << where;
+                    ASSERT_EQ(bm.slotOf(id), engine::BlockManager::kNoSlot)
+                        << where;
                 } else {
                     const std::int64_t total =
                         pinned + it->second + grow;
-                    if (bm.extend(id, total))
+                    const bool grown = step % 2 == 0
+                                           ? bm.extend(id, total)
+                                           : bm.extendAt(bm.slotOf(id), total);
+                    if (grown)
                         it->second += grow;
+                    ASSERT_EQ(bm.tokensOf(id), it->second) << where;
                 }
             } else if (op < 96) {
                 // Request done (or preempted): drop blocks and pin.
