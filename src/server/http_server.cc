@@ -2,12 +2,16 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 
 namespace splitwise::server {
 
@@ -21,6 +25,7 @@ statusText(int status)
       case 202: return "Accepted";
       case 400: return "Bad Request";
       case 404: return "Not Found";
+      case 408: return "Request Timeout";
       case 503: return "Service Unavailable";
       default: return "Unknown";
     }
@@ -50,6 +55,38 @@ parseContentLength(const std::string& value, std::size_t& length)
     }
     length = n;
     return true;
+}
+
+using ReadClock = std::chrono::steady_clock;
+using Deadline = ReadClock::time_point;
+
+/** recvBefore()'s result when @p deadline passed with nothing read. */
+constexpr ssize_t kDeadlinePassed = -1;
+
+/**
+ * recv() that waits for data only until @p deadline.
+ * @return the bytes read, 0 at end of stream or on an error, or
+ * kDeadlinePassed.
+ */
+ssize_t
+recvBefore(int fd, char* buffer, std::size_t size, Deadline deadline)
+{
+    for (;;) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - ReadClock::now());
+        if (left.count() <= 0)
+            return kDeadlinePassed;
+        pollfd pfd{fd, POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+        if (ready == 0 || (ready < 0 && errno == EINTR))
+            continue;  // Re-check the deadline.
+        if (ready < 0)
+            return 0;
+        const ssize_t n = ::recv(fd, buffer, size, 0);
+        if (n < 0 && errno == EINTR)
+            continue;
+        return n < 0 ? 0 : n;
+    }
 }
 
 }  // namespace
@@ -109,13 +146,15 @@ ResponseWriter::writeChunk(const std::string& data)
 {
     if (data.empty())
         return !broken_;
+    // One send per chunk: with TCP_NODELAY, three sends would be
+    // three segments and up to three client wake-ups per record.
     char size_line[32];
-    std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
-    if (!sendAll(size_line, std::strlen(size_line)))
-        return false;
-    if (!sendAll(data.data(), data.size()))
-        return false;
-    return sendAll("\r\n", 2);
+    const int size_len =
+        std::snprintf(size_line, sizeof size_line, "%zx\r\n", data.size());
+    frame_.assign(size_line, static_cast<std::size_t>(size_len));
+    frame_.append(data);
+    frame_.append("\r\n", 2);
+    return sendAll(frame_.data(), frame_.size());
 }
 
 bool
@@ -146,7 +185,7 @@ HttpServer::start(int port)
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
     if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr),
                sizeof addr) != 0 ||
-        ::listen(listenFd_, 128) != 0) {
+        ::listen(listenFd_, SOMAXCONN) != 0) {
         ::close(listenFd_);
         listenFd_ = -1;
         return false;
@@ -164,7 +203,19 @@ HttpServer::stop()
 {
     if (listenFd_ < 0)
         return;
-    stopping_.store(true);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stopping_ = true;
+        for (const int fd : queue_)
+            ::close(fd);
+        stats_.openConnections -= queue_.size();
+        queue_.clear();
+        // Wakes a worker blocked in recv/poll/send on the socket; the
+        // worker still owns (and closes) the descriptor.
+        for (const int fd : serving_)
+            ::shutdown(fd, SHUT_RDWR);
+    }
+    work_.notify_all();
     // shutdown() unblocks the accept() so the loop can observe the
     // flag and exit.
     ::shutdown(listenFd_, SHUT_RDWR);
@@ -173,15 +224,23 @@ HttpServer::stop()
     ::close(listenFd_);
     listenFd_ = -1;
 
-    std::vector<std::thread> conns;
+    // The accept thread is gone, so no worker starts after the swap.
+    std::vector<std::thread> workers;
     {
-        std::lock_guard<std::mutex> lock(connMu_);
-        conns.swap(connections_);
+        std::lock_guard<std::mutex> lock(mu_);
+        workers.swap(workers_);
     }
-    for (std::thread& t : conns) {
-        if (t.joinable())
-            t.join();
-    }
+    for (std::thread& t : workers)
+        t.join();
+}
+
+ServerStats
+HttpServer::stats() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    ServerStats out = stats_;
+    out.workers = workers_.size();
+    return out;
 }
 
 void
@@ -190,38 +249,117 @@ HttpServer::acceptLoop()
     for (;;) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
-            if (stopping_.load())
+            std::lock_guard<std::mutex> lock(mu_);
+            if (stopping_)
                 return;
             continue;
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        std::lock_guard<std::mutex> lock(connMu_);
-        connections_.emplace_back([this, fd] { handleConnection(fd); });
+        if (admit(fd))
+            continue;
+        // Refused: answer without ever blocking the accept thread.
+        // Reading what already arrived (one read, so a flooding
+        // client cannot hold the thread) keeps close() from resetting
+        // the connection before the client reads the 503.
+        char scratch[4096];
+        (void)::recv(fd, scratch, sizeof scratch, MSG_DONTWAIT);
+        static const char kBusy[] =
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 32\r\n"
+            "Connection: close\r\n\r\n"
+            "{\"error\":\"too many connections\"}";
+        (void)::send(fd, kBusy, sizeof kBusy - 1,
+                     MSG_DONTWAIT | MSG_NOSIGNAL);
+        ::close(fd);
+    }
+}
+
+bool
+HttpServer::admit(int fd)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_ || stats_.openConnections >= kMaxConnections) {
+        ++stats_.refused;
+        return false;
+    }
+    queue_.push_back(fd);
+    // Each queued socket needs an idle worker of its own; start one
+    // only when there is none. Workers never outnumber open
+    // connections at a start, so never exceed the cap.
+    if (idleWorkers_ < queue_.size()) {
+        try {
+            workers_.emplace_back([this] { workerLoop(); });
+        } catch (const std::system_error&) {
+            queue_.pop_back();
+            ++stats_.refused;
+            return false;
+        }
+    } else {
+        work_.notify_one();
+    }
+    ++stats_.openConnections;
+    ++stats_.accepted;
+    return true;
+}
+
+void
+HttpServer::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+        ++idleWorkers_;
+        work_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        --idleWorkers_;
+        if (queue_.empty())
+            return;  // Stopping.
+        const int fd = queue_.front();
+        queue_.pop_front();
+        serving_.push_back(fd);
+        lock.unlock();
+
+        serveConnection(fd);
+
+        // Held from here to the next wait, so a worker between two
+        // connections always counts as busy or idle, never neither.
+        lock.lock();
+        serving_.erase(std::find(serving_.begin(), serving_.end(), fd));
+        --stats_.openConnections;
+        ::close(fd);
     }
 }
 
 void
-HttpServer::handleConnection(int fd)
+HttpServer::serveConnection(int fd)
 {
+    const Deadline deadline = ReadClock::now() + kReadDeadline;
+    auto timed_out = [this, fd] {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.timedOut;
+        }
+        ResponseWriter writer(fd);
+        writer.writeFull(408, "application/json",
+                         "{\"error\":\"request not received in time\"}");
+    };
+
     // Read until the header terminator, then Content-Length more.
     std::string data;
     std::size_t header_end = std::string::npos;
     char buffer[4096];
     while (header_end == std::string::npos) {
-        const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-        if (n <= 0) {
-            ::close(fd);
+        const ssize_t n = recvBefore(fd, buffer, sizeof buffer, deadline);
+        if (n == kDeadlinePassed) {
+            timed_out();
             return;
         }
+        if (n <= 0)
+            return;
         data.append(buffer, static_cast<std::size_t>(n));
         header_end = data.find("\r\n\r\n");
         if (data.size() > kMaxMessageBytes)
-            break;  // Oversized header: drop the connection.
-    }
-    if (header_end == std::string::npos) {
-        ::close(fd);
-        return;
+            return;  // Oversized header: drop the connection.
     }
 
     // A malformed or unsatisfiable frame gets a 400 without ever
@@ -230,20 +368,18 @@ HttpServer::handleConnection(int fd)
         ResponseWriter writer(fd);
         writer.writeFull(400, "application/json",
                          std::string("{\"error\":\"") + error + "\"}");
-        ::close(fd);
     };
 
     HttpRequest request;
+    request.server = this;
     {
         const std::string head = data.substr(0, header_end);
         const auto line_end = head.find("\r\n");
         const std::string line = head.substr(0, line_end);
         const auto sp1 = line.find(' ');
         const auto sp2 = line.find(' ', sp1 + 1);
-        if (sp1 == std::string::npos || sp2 == std::string::npos) {
-            ::close(fd);
+        if (sp1 == std::string::npos || sp2 == std::string::npos)
             return;
-        }
         request.method = line.substr(0, sp1);
         request.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
 
@@ -271,7 +407,12 @@ HttpServer::handleConnection(int fd)
 
         std::string body = data.substr(header_end + 4);
         while (body.size() < content_length) {
-            const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+            const ssize_t n =
+                recvBefore(fd, buffer, sizeof buffer, deadline);
+            if (n == kDeadlinePassed) {
+                timed_out();
+                return;
+            }
             if (n <= 0) {
                 reject("body shorter than Content-Length");
                 return;
@@ -283,7 +424,6 @@ HttpServer::handleConnection(int fd)
 
     ResponseWriter writer(fd);
     handler_(request, writer);
-    ::close(fd);
 }
 
 }  // namespace splitwise::server

@@ -2,9 +2,9 @@
 
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/json.h"
@@ -23,7 +23,7 @@ namespace {
 struct TokenMailbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<core::TokenUpdate> updates;
+    std::vector<core::TokenUpdate> updates;
     bool terminal = false;
 
     void
@@ -38,18 +38,16 @@ struct TokenMailbox {
         cv.notify_one();
     }
 
-    /** Pop one update, blocking. @return false once drained after
-     *  the terminal update. */
+    /** Move every queued update into @p out, blocking until there is
+     *  one. @return false once drained after the terminal update. */
     bool
-    pop(core::TokenUpdate* out)
+    takeAll(std::vector<core::TokenUpdate>& out)
     {
+        out.clear();
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [this] { return !updates.empty() || terminal; });
-        if (updates.empty())
-            return false;
-        *out = updates.front();
-        updates.pop_front();
-        return true;
+        out.swap(updates);
+        return !out.empty();
     }
 };
 
@@ -69,6 +67,23 @@ tokenLine(const core::TokenUpdate& update)
     return row.dump() + "\n";
 }
 
+/** The "server" object of GET /v1/metrics. */
+core::JsonValue
+serverJson(const ServerStats& stats)
+{
+    using core::JsonValue;
+    auto count = [](std::uint64_t n) {
+        return JsonValue(static_cast<std::int64_t>(n));
+    };
+    JsonValue doc = JsonValue::makeObject();
+    doc.set("open_connections", count(stats.openConnections));
+    doc.set("workers", count(stats.workers));
+    doc.set("accepted", count(stats.accepted));
+    doc.set("refused_503", count(stats.refused));
+    doc.set("timed_out", count(stats.timedOut));
+    return doc;
+}
+
 }  // namespace
 
 void
@@ -85,7 +100,7 @@ CompletionService::handle(const HttpRequest& request,
         return;
     }
     if (request.method == "GET" && request.path == "/v1/metrics") {
-        handleMetrics(writer);
+        handleMetrics(request, writer);
         return;
     }
     if (request.method == "POST" &&
@@ -144,12 +159,22 @@ CompletionService::handleCompletion(const HttpRequest& request,
         // destructor cancels the request.
         return;
     }
-    core::TokenUpdate update;
-    while (mailbox->pop(&update)) {
-        if (!writer.writeChunk(tokenLine(update)))
+    // Every update queued by the time this thread wakes goes out as
+    // one chunk: one send, however far the stream ran ahead.
+    std::vector<core::TokenUpdate> updates;
+    std::string records;
+    bool terminal = false;
+    while (!terminal && mailbox->takeAll(updates)) {
+        records.clear();
+        for (const core::TokenUpdate& update : updates) {
+            records += tokenLine(update);
+            if (update.finished || update.rejected) {
+                terminal = true;
+                break;
+            }
+        }
+        if (!writer.writeChunk(records))
             return;  // Hang-up mid-stream: auto-cancel via handle.
-        if (update.finished || update.rejected)
-            break;
     }
     writer.endChunked();
     // The stream reached its terminal update: nothing left to cancel.
@@ -174,12 +199,12 @@ CompletionService::handleCancel(const std::string& path,
 }
 
 void
-CompletionService::handleMetrics(ResponseWriter& writer)
+CompletionService::handleMetrics(const HttpRequest& request,
+                                 ResponseWriter& writer)
 {
-    std::string body;
-    const bool live = ingress_.inspect([&body](const core::Cluster& cluster) {
-        using core::JsonValue;
-        JsonValue doc = JsonValue::makeObject();
+    using core::JsonValue;
+    JsonValue doc = JsonValue::makeObject();
+    const bool live = ingress_.inspect([&doc](const core::Cluster& cluster) {
         doc.set("simulated_us",
                 JsonValue(static_cast<std::int64_t>(
                     cluster.simulator().now())));
@@ -189,14 +214,17 @@ CompletionService::handleMetrics(ResponseWriter& writer)
         for (std::size_t i = 0; i < values.size(); ++i)
             metrics.set(registry.names()[i], JsonValue(values[i]));
         doc.set("metrics", std::move(metrics));
-        body = doc.dump();
     });
     if (!live) {
         writer.writeFull(503, "application/json",
                          "{\"error\":\"serving has ended\"}");
         return;
     }
-    writer.writeFull(200, "application/json", body);
+    // Beside "metrics", not in it: the front-end's health is no
+    // cluster metric and never enters the run report.
+    if (request.server != nullptr)
+        doc.set("server", serverJson(request.server->stats()));
+    writer.writeFull(200, "application/json", doc.dump());
 }
 
 }  // namespace splitwise::server

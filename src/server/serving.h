@@ -16,12 +16,15 @@
  *   DELETE /v1/completions/<id>   Cancel; the stream finishes at the
  *       next token boundary.
  *   GET    /v1/metrics            Cluster metrics snapshot (JSON
- *       name→value), taken race-free at a quiescent point.
+ *       name→value under "metrics"), taken race-free at a quiescent
+ *       point, beside the front-end's own health under "server":
+ *       open_connections, workers, accepted, refused_503, timed_out.
  *   POST   /v1/admin/shutdown     Stop admissions and drain.
  *
  * The handler thread blocks on a small mailbox fed by the ingress
- * streaming callback; a client hang-up mid-stream cancels the
- * request upstream.
+ * streaming callback and writes every record queued by each wake as
+ * one chunk; a client hang-up mid-stream cancels the request
+ * upstream.
  */
 
 #include <cstdint>
@@ -32,7 +35,7 @@
 
 namespace splitwise::server {
 
-/** Bridges HTTP connection threads to one core::Ingress. */
+/** Bridges HTTP connection workers to one core::Ingress. */
 class CompletionService {
   public:
     explicit CompletionService(core::Ingress& ingress)
@@ -47,7 +50,7 @@ class CompletionService {
     void handleCompletion(const HttpRequest& request,
                           ResponseWriter& writer);
     void handleCancel(const std::string& path, ResponseWriter& writer);
-    void handleMetrics(ResponseWriter& writer);
+    void handleMetrics(const HttpRequest& request, ResponseWriter& writer);
 
     core::Ingress& ingress_;
 };

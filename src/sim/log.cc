@@ -49,6 +49,8 @@ levelRef()
 thread_local const std::int64_t* tlClock = nullptr;
 thread_local std::uint64_t tlRequest = 0;
 thread_local bool tlHasRequest = false;
+/** Open PanicScopes on this thread. */
+thread_local int tlPanicScopes = 0;
 
 /** Leading `t_us=`/`request=` fields from the attached context. */
 std::string
@@ -146,6 +148,16 @@ LogRequestScope::~LogRequestScope()
     tlHasRequest = hadPrevious_;
 }
 
+PanicScope::PanicScope()
+{
+    ++tlPanicScopes;
+}
+
+PanicScope::~PanicScope()
+{
+    --tlPanicScopes;
+}
+
 void
 inform(const std::string& msg)
 {
@@ -182,6 +194,8 @@ fatal(const std::string& msg)
 void
 panic(const std::string& msg)
 {
+    if (tlPanicScopes > 0)
+        throw PanicError(msg + contextFields());
     Log::write(LogLevel::kError, "panic: " + msg + contextFields());
     std::abort();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +33,7 @@ using LogFields = std::vector<std::pair<std::string, std::string>>;
  * fatal() reports a user-caused error (bad configuration, invalid
  * arguments) and throws std::runtime_error so callers and tests can
  * recover. panic() reports an internal invariant violation and
- * aborts.
+ * aborts, except inside a PanicScope.
  */
 class Log {
   public:
@@ -110,8 +111,30 @@ class LogRequestScope {
  */
 [[noreturn]] void fatal(const std::string& msg);
 
+/** What panic() throws inside a PanicScope; what() carries the
+ *  message and the log context fields. */
+class PanicError : public std::logic_error {
+  public:
+    using std::logic_error::logic_error;
+};
+
 /**
- * Report an internal invariant violation (a simulator bug) and abort.
+ * While a scope is open on this thread, panic() throws PanicError
+ * instead of aborting, so a fuzzing harness can report a simulator
+ * bug as a violation and shrink it. Scopes nest.
+ */
+class PanicScope {
+  public:
+    PanicScope();
+    ~PanicScope();
+
+    PanicScope(const PanicScope&) = delete;
+    PanicScope& operator=(const PanicScope&) = delete;
+};
+
+/**
+ * Report an internal invariant violation (a simulator bug) and abort;
+ * inside a PanicScope, throw PanicError instead.
  */
 [[noreturn]] void panic(const std::string& msg);
 

@@ -46,7 +46,8 @@ BugKind
 bugKindFromName(const std::string& name)
 {
     for (const auto kind :
-         {BugKind::kNone, BugKind::kOrphanKvBlock, BugKind::kLeakPromptKv}) {
+         {BugKind::kNone, BugKind::kOrphanKvBlock, BugKind::kLeakPromptKv,
+          BugKind::kPanic}) {
         if (name == bugKindName(kind))
             return kind;
     }
@@ -62,6 +63,7 @@ bugKindName(BugKind kind)
       case BugKind::kNone: return "none";
       case BugKind::kOrphanKvBlock: return "orphan_kv_block";
       case BugKind::kLeakPromptKv: return "leak_prompt_kv";
+      case BugKind::kPanic: return "panic";
     }
     return "?";
 }
@@ -351,6 +353,10 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
                         leaked = true;
                 });
         });
+    } else if (scenario.bug.kind == BugKind::kPanic) {
+        cluster.simulator().postAfter(scenario.bug.atUs, [] {
+            sim::panic("planted panic");
+        });
     }
 
     // The controller posts its own tick events, so it must exist
@@ -365,6 +371,10 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
     InvariantChecker checker(cluster, options);
     if (autoscaler)
         checker.attachController(autoscaler.get());
+    // A simulator panic during the run is this scenario's violation,
+    // not the end of the campaign. Closed before the cluster is
+    // destroyed, so no destructor throws.
+    sim::PanicScope panics;
     try {
         // Both ingestion paths must be byte-identical; the fuzzer
         // flips streamIngest on a fraction of seeds to prove it.
@@ -393,6 +403,11 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
         outcome.invariant = v.invariant();
         outcome.violationTime = v.at();
         outcome.detail = v.detail();
+    } catch (const sim::PanicError& e) {
+        outcome.violated = true;
+        outcome.invariant = "panic";
+        outcome.violationTime = cluster.simulator().now();
+        outcome.detail = e.what();
     } catch (const std::runtime_error& e) {
         // Cluster::run fatals (deadlocked requests, config errors)
         // count as liveness violations: the scenario never drained.

@@ -45,6 +45,12 @@ enum class BugKind {
      * must keep at least one cross-machine request.
      */
     kLeakPromptKv,
+    /**
+     * Call sim::panic at a fixed time - a simulator bug that would
+     * abort the process, which the harness must report as the
+     * violation "panic" instead.
+     */
+    kPanic,
 };
 
 const char* bugKindName(BugKind kind);
@@ -52,7 +58,7 @@ const char* bugKindName(BugKind kind);
 /** Where and when the seeded bug fires. */
 struct BugPlan {
     BugKind kind = BugKind::kNone;
-    /** Trigger time (kOrphanKvBlock). */
+    /** Trigger time (kOrphanKvBlock, kPanic). */
     sim::TimeUs atUs = 0;
     /** Target machine id (kOrphanKvBlock). */
     int machineId = 0;
@@ -195,8 +201,9 @@ struct ScenarioOutcome {
 /**
  * Build the cluster, apply the fault plan, arm the seeded bug and
  * the invariant checker, run to completion, and final-check.
- * Violations (including liveness fatals from Cluster::run) are
- * caught and reported in the outcome, not thrown.
+ * Violations (including liveness fatals from Cluster::run, and
+ * simulator panics as invariant "panic") are caught and reported in
+ * the outcome, not thrown.
  */
 ScenarioOutcome runScenario(const Scenario& scenario,
                             const InvariantOptions& options = {});

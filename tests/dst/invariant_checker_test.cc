@@ -107,6 +107,26 @@ TEST(InvariantCheckerTest, CatchesPlantedOrphanKvBlock)
     EXPECT_LT(outcome.violationTime, sim::secondsToUs(4));
 }
 
+/** A simulator panic inside a scenario is reported as the violation
+ *  "panic" instead of aborting the process. */
+TEST(InvariantCheckerTest, PanicIsReportedAsAViolation)
+{
+    Scenario s;
+    s.name = "planted-panic";
+    s.numPrompt = 1;
+    s.numToken = 1;
+    s.requests = smallTrace(23, 3.0, 3.0);
+    s.bug.kind = BugKind::kPanic;
+    s.bug.atUs = sim::msToUs(300.0);
+    const ScenarioOutcome outcome = runScenario(s);
+    ASSERT_TRUE(outcome.violated);
+    EXPECT_EQ(outcome.invariant, "panic");
+    EXPECT_EQ(outcome.violationTime, s.bug.atUs);
+    EXPECT_EQ(outcome.detail.rfind("planted panic", 0), 0u);
+    EXPECT_NE(outcome.outcomeJson.find("\"invariant\":\"panic\""),
+              std::string::npos);
+}
+
 TEST(InvariantCheckerTest, ViolationCarriesEvidence)
 {
     Scenario s;

@@ -78,6 +78,23 @@ TEST(ShrinkerTest, CleanScenarioDoesNotReproduce)
               scenarioToJson(s).dump());
 }
 
+/** A simulator panic shrinks like any other violation: the minimal
+ *  scenario still panics, and it is time-triggered, so the requests
+ *  after it go. */
+TEST(ShrinkerTest, ShrinkingKeepsAPanic)
+{
+    Scenario s = leakyScenario();
+    s.bug.kind = BugKind::kPanic;
+    s.bug.atUs = sim::secondsToUs(1);
+    const ShrinkResult result = shrink(s);
+    ASSERT_TRUE(result.reproduced);
+    EXPECT_EQ(result.invariant, "panic");
+    EXPECT_LT(result.minimal.requests.size(), s.requests.size());
+    const ScenarioOutcome replay = runScenario(result.minimal);
+    ASSERT_TRUE(replay.violated);
+    EXPECT_EQ(replay.invariant, "panic");
+}
+
 TEST(ShrinkerTest, RespectsRunBudget)
 {
     ShrinkOptions options;

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -255,6 +256,54 @@ TEST_F(ServerFixture, MetricsSnapshotIsServed)
     const core::JsonValue doc = core::JsonValue::parse(result.body);
     EXPECT_TRUE(doc.has("simulated_us"));
     EXPECT_TRUE(doc.has("metrics"));
+    EXPECT_FALSE(doc.at("metrics").has("open_connections"));
+}
+
+TEST_F(ServerFixture, MetricsReportServerHealth)
+{
+    ASSERT_EQ(httpRequest(port(), "GET", "/nope").status, 404);
+    ASSERT_EQ(httpRequest(port(), "GET", "/nope").status, 404);
+    const HttpResult result = httpRequest(port(), "GET", "/v1/metrics");
+    ASSERT_EQ(result.status, 200);
+    const core::JsonValue server =
+        core::JsonValue::parse(result.body).at("server");
+    // Sequential requests: the third is the one being answered, and
+    // one worker served all three.
+    EXPECT_EQ(server.at("accepted").asInt(), 3);
+    EXPECT_EQ(server.at("open_connections").asInt(), 1);
+    EXPECT_EQ(server.at("workers").asInt(), 1);
+    EXPECT_EQ(server.at("refused_503").asInt(), 0);
+    EXPECT_EQ(server.at("timed_out").asInt(), 0);
+}
+
+/**
+ * Each chunk leaves in one send(): on a SOCK_SEQPACKET pair every
+ * send() is one message, so the peer sees exactly one frame per
+ * chunk, with the size line, the data and the CRLF together.
+ */
+TEST(ResponseWriterTest, EachChunkIsOneSend)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+    ResponseWriter writer(fds[0]);
+    auto next_message = [&] {
+        char buffer[256];
+        const ssize_t n = ::recv(fds[1], buffer, sizeof buffer, MSG_DONTWAIT);
+        return n < 0 ? std::string("<none>")
+                     : std::string(buffer, static_cast<std::size_t>(n));
+    };
+    const std::string record = "{\"id\":7,\"tokens\":1}\n";
+    const std::string two = record + record;
+    EXPECT_TRUE(writer.writeChunk(record));
+    EXPECT_TRUE(writer.writeChunk(""));  // Sends nothing.
+    EXPECT_TRUE(writer.writeChunk(two));
+    EXPECT_TRUE(writer.endChunked());
+    EXPECT_EQ(next_message(), "14\r\n" + record + "\r\n");
+    EXPECT_EQ(next_message(), "28\r\n" + two + "\r\n");
+    EXPECT_EQ(next_message(), "0\r\n\r\n");
+    EXPECT_EQ(next_message(), "<none>");
+    ::close(fds[0]);
+    ::close(fds[1]);
 }
 
 TEST_F(ServerFixture, ShutdownDrainsAndRejectsNewWork)

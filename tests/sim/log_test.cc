@@ -162,5 +162,27 @@ TEST(LogDeathTest, PanicAborts)
     EXPECT_DEATH(panic("invariant violated"), "invariant violated");
 }
 
+TEST(LogDeathTest, PanicThrowsOnlyInsideAScope)
+{
+    std::int64_t now_us = 42;
+    setLogClock(&now_us);
+    {
+        PanicScope outer;
+        {
+            PanicScope inner;
+            EXPECT_THROW(panic("nested"), PanicError);
+        }
+        try {
+            panic("invariant violated");
+            FAIL() << "panic did not throw inside a scope";
+        } catch (const PanicError& e) {
+            EXPECT_STREQ(e.what(), "invariant violated t_us=42");
+        }
+    }
+    setLogClock(nullptr);
+    // Every scope closed: back to aborting.
+    EXPECT_DEATH(panic("after the scope"), "after the scope");
+}
+
 }  // namespace
 }  // namespace splitwise::sim
